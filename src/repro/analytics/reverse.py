@@ -19,7 +19,7 @@ vectors without any gate-graph walk using the layer containment theorem
 (every top-k member lies in coarse layers ``0..k-1``, so beater counts
 restricted to those layers decide membership exactly) plus two-sided
 zonemap bounds (:func:`repro.core.structure.compute_block_extrema`); the
-few unresolved vectors fall through to the batch walk kernel.
+few unresolved vectors fall through to the engine's ``query_batch`` walk.
 
 Every comparison against a kernel answer uses the kernels' own ``einsum``
 contraction (:func:`repro.core.query.score_rows`), so screen decisions are
@@ -367,8 +367,8 @@ class BichromaticResult:
     of the workload; ``resolution[i]`` records how row ``i`` was decided:
     ``"static"`` (weight-independent certificate — the whole workload is
     out), ``"screen"`` (zonemap bound certificate, no walk), ``"count"``
-    (exact candidate-set beater count, no walk), or ``"walk"`` (batch
-    kernel).  ``resolved_without_walk`` is the fraction of rows decided
+    (exact candidate-set beater count, no walk), or ``"walk"`` (a
+    ``query_batch`` walk).  ``resolved_without_walk`` is the fraction of rows decided
     without running the walk kernel — the bench suite's headline metric.
     """
 

@@ -8,21 +8,23 @@ regression ride a green build.
 What is actually comparable across runs
 ---------------------------------------
 * **Bitwise cross-checks** — every wall-clock run verifies each timed
-  query (per-query kernels and every batch lane) against the reference
+  query (per-query kernels and every batch row) against the reference
   oracle and refuses to report otherwise; a report without the
   ``crosscheck: bitwise`` marker is rejected here, so a run that skipped
   (or failed) verification can never pass the gate.
 * **Absolute p50 latencies** are only meaningful between cells measured at
   the same (distribution, d, n, k) — the gate compares exactly those and
   flags a fresh p50 more than ``tolerance`` (default 25%) above baseline.
-* When the fresh run has *no* overlapping cells (the CI smoke runs at
-  n=2000 while the committed grid starts at 10k — absolute smoke latencies
-  on a shared CI runner would gate on noise, as the bench-smoke job's own
-  comment warns), the gate falls back to **within-run invariants** of the
-  fresh report: every kernel timing positive, every batch sweep present
-  and positive, and ``auto`` no slower than the best single kernel at p50
-  beyond the same tolerance — the dispatch-correctness property that holds
-  at any scale on any machine.
+* **Within-run invariants** of the fresh report hold at any scale on any
+  machine, so they are checked on every run: every batch sweep present,
+  ``auto`` no slower than the best single kernel at p50, and at every
+  batch width ``query_batch`` no slower per query than a loop of
+  ``query`` on the same engine — each beyond the same tolerance plus
+  :data:`NOISE_FLOOR_MS`.  A dispatch that sends work to a slower path
+  fails one of them.  When the fresh run has *no* overlapping cells (the
+  CI smoke runs at n=2000 while the committed grid starts at 10k —
+  absolute smoke latencies on a shared CI runner would gate on noise),
+  they are the whole latency gate.
 """
 
 from __future__ import annotations
@@ -71,12 +73,10 @@ def _check_matched(fresh: dict, baseline: dict, tolerance: float) -> list[str]:
     """Absolute p50 comparison over cells present in both reports."""
     failures: list[str] = []
     baseline_cells = {_cell_key(cell): cell for cell in baseline["cells"]}
-    matched = 0
     for cell in fresh["cells"]:
         base = baseline_cells.get(_cell_key(cell))
         if base is None:
             continue
-        matched += 1
         for kernel, timing in cell["kernels"].items():
             base_timing = base["kernels"].get(kernel)
             if base_timing is None:
@@ -108,8 +108,6 @@ def _check_matched(fresh: dict, baseline: dict, tolerance: float) -> list[str]:
                     f"{base_ms:.4f}ms +{tolerance:.0%} "
                     f"(+{NOISE_FLOOR_MS}ms floor)"
                 )
-    if not matched:
-        failures.append("__no_overlap__")
     return failures
 
 
@@ -142,6 +140,23 @@ def _check_invariants(fresh: dict, tolerance: float) -> list[str]:
                 )
         if not cell.get("batch"):
             failures.append(f"{key}: batch sweep missing from fresh report")
+        for timing in cell.get("batch", []):
+            speedup = timing.get("speedup_vs_loop")
+            if speedup is None:
+                failures.append(
+                    f"{key} batch B={timing['B']}: no speedup_vs_loop — the "
+                    "report predates the query_batch-vs-loop sweep"
+                )
+                continue
+            loop_ms = timing["ms_per_query"] * speedup
+            limit = loop_ms * (1.0 + tolerance) + NOISE_FLOOR_MS
+            if timing["ms_per_query"] > limit:
+                failures.append(
+                    f"{key} batch B={timing['B']}: query_batch "
+                    f"{timing['ms_per_query']:.4f}ms/query exceeds the "
+                    f"per-query loop {loop_ms:.4f}ms +{tolerance:.0%} "
+                    f"(+{NOISE_FLOOR_MS}ms floor)"
+                )
     return failures
 
 
@@ -200,9 +215,9 @@ def check_query_regression(
     baseline always contains it, so the compiled kernel's win is held on
     every CI run even though smoke cells are too small to latency-gate).
     Cells present in both reports are compared on absolute p50 latency
-    and batch qps; with no overlap, the fresh report's within-run
-    invariants are checked instead (see module docstring for why
-    absolute smoke latencies don't gate).
+    and batch qps, and the fresh report's within-run invariants are
+    checked on every run (see module docstring for why absolute smoke
+    latencies don't gate).
     """
     validate_query_report(fresh)
     validate_query_report(baseline)
@@ -214,11 +229,8 @@ def check_query_regression(
         )
     failures.extend(_check_native_floor(fresh, "fresh"))
     failures.extend(_check_native_floor(baseline, "baseline"))
-    matched_failures = _check_matched(fresh, baseline, tolerance)
-    if matched_failures == ["__no_overlap__"]:
-        failures.extend(_check_invariants(fresh, tolerance))
-    else:
-        failures.extend(f for f in matched_failures if f != "__no_overlap__")
+    failures.extend(_check_matched(fresh, baseline, tolerance))
+    failures.extend(_check_invariants(fresh, tolerance))
     return failures
 
 

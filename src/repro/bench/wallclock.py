@@ -8,7 +8,10 @@ the "before"), :func:`~repro.core.query.process_top_k` (the vectorized
 CSR kernel), and — when the host can build it — the compiled
 :func:`~repro.core.native.native_process_top_k` C walker.  All kernels are
 timed on the identical frozen structure and weight stream, so the
-reported speedups isolate the kernel.
+reported speedups isolate the kernel.  The batch sweep times
+``QueryEngine.query_batch`` against a loop of ``QueryEngine.query`` on
+the same engine at each batch width; ``bench-check`` fails any width
+where the batched call is slower than the loop.
 
 Every timed query is also checked for bitwise agreement between the kernels
 (ids, scores, Definition 9 counts) — a benchmark run doubles as an
@@ -50,12 +53,12 @@ from repro.core.native import (
     native_supported,
 )
 from repro.core.query import (
-    BatchWorkspace,
     QueryWorkspace,
     process_top_k,
-    process_top_k_batch,
     process_top_k_reference,
 )
+from repro.relation import normalize_weights
+from repro.serving import QueryEngine
 from repro.stats import AccessCounter
 from repro.stats.latency import percentile
 
@@ -76,7 +79,7 @@ __all__ = [
 
 
 def _auto_kernel(structure, w, k, counter):
-    """Single-query ``auto`` dispatch (batch_width=1: native/reference/csr)."""
+    """Single-query ``auto`` dispatch (native, else csr)."""
     name = select_kernel(structure)
     if name == "native":
         return native_process_top_k(structure, w, k, counter)
@@ -122,8 +125,8 @@ def _make_kernels(structure) -> dict:
         kernels["native"] = native
     return kernels
 
-#: Lane counts of the multi-query batch sweep (B=1 exposes the batch
-#: kernel's fixed overhead; B=128 its asymptotic throughput).
+#: Batch widths of the ``query_batch``-vs-loop sweep (B=1 exposes the
+#: batched call's fixed overhead; B=128 its asymptotic throughput).
 DEFAULT_BATCH_SIZES = (1, 8, 32, 128)
 
 
@@ -138,17 +141,17 @@ class KernelTiming:
 
 @dataclass
 class BatchTiming:
-    """Throughput of the lane-parallel batch kernel at one batch width.
+    """Throughput of ``QueryEngine.query_batch`` at one batch width.
 
-    ``speedup_vs_csr`` is against a sequential per-query csr loop over the
-    *same* weight rows in the same process — the ratio a serving engine
-    realizes by fusing the group into one traversal.
+    ``speedup_vs_loop`` is against a loop of ``engine.query`` over the
+    *same* weight rows on the same engine — what a caller gains (>1) or
+    loses (<1) by handing the engine the rows as one batch.
     """
 
     B: int
     qps: float
     ms_per_query: float
-    speedup_vs_csr: float
+    speedup_vs_loop: float
 
 
 @dataclass
@@ -166,7 +169,7 @@ class WallclockCell:
     #: stage regressed, not just the total.
     build_stage_seconds: dict[str, float] = field(default_factory=dict)
     kernels: dict[str, KernelTiming] = field(default_factory=dict)
-    #: Batch-kernel throughput per lane count (empty when the sweep is off).
+    #: ``query_batch`` throughput per batch width (empty when the sweep is off).
     batch: list[BatchTiming] = field(default_factory=list)
 
     @property
@@ -256,58 +259,54 @@ def _check_equivalence(structure, weights, k: int) -> float:
 
 
 def _sweep_batch(
-    structure, d: int, k: int, batch_sizes, repeats: int, seed: int
+    index, d: int, k: int, batch_sizes, repeats: int, seed: int
 ) -> list[BatchTiming]:
-    """Time the batch kernel at each lane count, cross-checked bitwise.
+    """Time ``query_batch`` against a per-query loop at each batch width.
 
-    Every lane of every batch is first verified bitwise (ids, scores,
-    Definition 9 counts) against a per-query :func:`process_top_k` call on
-    the same weights, then both sides are timed best-of-``repeats`` — a
-    sweep that produced a wrong answer can never report a speedup.
+    Both sides run on one uncached ``kernel="auto"`` engine, so they share
+    dispatch, workspaces and kernel.  Every row of every batch is first
+    verified bitwise (ids, scores, Definition 9 counts) against
+    :func:`process_top_k_reference`, then both sides are timed
+    best-of-``repeats``, interleaved so drift hits them alike — a sweep
+    that produced a wrong answer can never report a timing.
     """
+    engine = QueryEngine(index, cache_size=0, kernel="auto")
+    structure = index.structure
     timings: list[BatchTiming] = []
-    workspace = BatchWorkspace()
     for B in batch_sizes:
         weights = np.asarray(query_weights(d, B, seed + 7000 + B), dtype=np.float64)
-        # Correctness pass (also warms the workspace for this width).
-        counters = [AccessCounter() for _ in range(B)]
-        outputs = process_top_k_batch(
-            structure, weights, k, counters, workspace=workspace
-        )
-        for lane in range(B):
+        # Correctness pass (also warms the engine's workspaces).
+        results = engine.query_batch(weights, k)
+        for row, result in enumerate(results):
             counter = AccessCounter()
-            ids, scores = process_top_k(structure, weights[lane], k, counter)
-            batch_ids, batch_scores = outputs[lane]
+            ids, scores = process_top_k_reference(
+                structure, normalize_weights(weights[row], d), k, counter
+            )
             if not (
-                np.array_equal(ids, batch_ids)
-                and scores.tobytes() == batch_scores.tobytes()
+                np.array_equal(ids, result.ids)
+                and scores.tobytes() == result.scores.tobytes()
                 and (counter.real, counter.pseudo)
-                == (counters[lane].real, counters[lane].pseudo)
+                == (result.counter.real, result.counter.pseudo)
             ):
                 raise AssertionError(
-                    f"batch kernel mismatch at B={B} lane {lane} for weights "
-                    f"{weights[lane].tolist()} (k={k})"
+                    f"query_batch mismatch at B={B} row {row} for weights "
+                    f"{weights[row].tolist()} (k={k})"
                 )
-        best_batch = float("inf")
+        best_batch = best_loop = float("inf")
         for _ in range(repeats):
-            counters = [AccessCounter() for _ in range(B)]
             start = time.perf_counter()
-            process_top_k_batch(structure, weights, k, counters, workspace=workspace)
+            engine.query_batch(weights, k)
             best_batch = min(best_batch, time.perf_counter() - start)
-        best_seq = float("inf")
-        for _ in range(repeats):
             start = time.perf_counter()
-            for lane in range(B):
-                process_top_k(structure, weights[lane], k, AccessCounter())
-            best_seq = min(best_seq, time.perf_counter() - start)
+            for w in weights:
+                engine.query(w, k)
+            best_loop = min(best_loop, time.perf_counter() - start)
         timings.append(
             BatchTiming(
                 B=B,
-                qps=round(B / best_batch, 1) if best_batch > 0 else float("inf"),
+                qps=round(B / best_batch, 1),
                 ms_per_query=round(best_batch * 1e3 / B, 4),
-                speedup_vs_csr=(
-                    round(best_seq / best_batch, 2) if best_batch > 0 else float("inf")
-                ),
+                speedup_vs_loop=round(best_loop / best_batch, 2),
             )
         )
     return timings
@@ -382,7 +381,7 @@ def run_wallclock(
                     )
                 if batch_sizes:
                     cell.batch = _sweep_batch(
-                        structure, d, k, batch_sizes, repeats, seed
+                        index, d, k, batch_sizes, repeats, seed
                     )
                 cells.append(cell)
                 if progress is not None:
@@ -398,8 +397,8 @@ def run_wallclock(
                             f" ({cell.speedup_native_p50:.2f}x over csr)"
                         )
                     if cell.batch:
-                        line += ", batch " + " ".join(
-                            f"B{t.B}={t.speedup_vs_csr:.2f}x" for t in cell.batch
+                        line += ", batch/loop " + " ".join(
+                            f"B{t.B}={t.speedup_vs_loop:.2f}x" for t in cell.batch
                         )
                     progress(line)
     return {
@@ -409,7 +408,7 @@ def run_wallclock(
         "queries": queries,
         "repeats": repeats,
         "seed": seed,
-        # Every timed query (per-query kernels and every batch lane) was
+        # Every timed query (per-query kernels and every batch row) was
         # checked bitwise against the oracle during this run; consumers
         # (the bench-check regression gate) require this marker.
         "crosscheck": "bitwise",
@@ -456,8 +455,12 @@ def validate_query_report(report: dict) -> None:
                     raise ValueError(
                         f"kernel {kernel!r} has non-positive {key}: {timing}"
                     )
+        # Batch rows need only the fields every report version carries,
+        # so a report from before the query_batch-vs-loop sweep still
+        # loads as a baseline; the within-run gate demands
+        # ``speedup_vs_loop`` of fresh reports.
         for timing in cell.get("batch", []):
-            for key in ("B", "qps", "ms_per_query", "speedup_vs_csr"):
+            for key in ("B", "qps", "ms_per_query"):
                 if key not in timing:
                     raise ValueError(f"batch timing missing {key!r}: {timing}")
             if not (timing["B"] >= 1 and timing["qps"] > 0):

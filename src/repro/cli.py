@@ -36,6 +36,7 @@ from repro.bench.experiments import ALGORITHM_CLASSES, EXPERIMENTS
 from repro.bench.harness import build_index, measure_cost, run_sweep
 from repro.bench.reporting import format_series_table
 from repro.bench.workload import BenchConfig, Workload
+from repro.core.dispatch import VALID_KERNELS
 from repro.io import load_index, load_relation, save_index, save_relation
 
 
@@ -135,10 +136,10 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--kernel",
         default="auto",
-        choices=("auto", "reference", "csr", "batch", "native", "jit"),
+        choices=VALID_KERNELS,
         help="traversal kernel for the engine (auto dispatches per call; "
         "native forces the compiled C walker and fails without a C "
-        "toolchain, jit is its legacy alias)",
+        "toolchain)",
     )
     serve.add_argument(
         "--workers",
@@ -211,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
     perf.add_argument(
         "--batch-sizes",
         default="1,8,32,128",
-        help="comma-separated lane counts for the batch-kernel sweep "
+        help="comma-separated batch widths for the query_batch-vs-loop sweep "
         "(empty string disables the sweep)",
     )
     perf.add_argument(

@@ -115,9 +115,9 @@ class ClusterEngine:
         the cluster version.
     kernel:
         Traversal kernel for every shard engine (``"auto"`` default —
-        per-call dispatch via :func:`~repro.core.dispatch.select_kernel`,
-        including the lane-parallel batch kernel for forwarded weight
-        groups); an explicit ``engine_kwargs["kernel"]`` wins.
+        per-query dispatch via :func:`~repro.core.dispatch.select_kernel`:
+        native when loadable, else csr); an explicit
+        ``engine_kwargs["kernel"]`` wins.
     merge:
         Default merge strategy (overridable per query).
     replicate:

@@ -249,10 +249,9 @@ class Shard:
     ) -> list[ShardAnswer]:
         """One local top-``min(k, n)`` per row, in a single batched call.
 
-        The whole weight group runs through the shard engine's
-        ``query_batch`` — one lane-parallel traversal for the group when
-        the kernel dispatcher selects the batch kernel — instead of one
-        scatter-gather per row.  Row order (and every answer's ascending
+        The whole weight group runs through one ``query_batch`` call on
+        the shard engine (validated up front, served row by row through
+        its dispatched kernel) instead of one scatter-gather per row.  Row order (and every answer's ascending
         ``(score, global id)`` order) matches per-row :meth:`topk` calls
         bitwise.
         """

@@ -152,8 +152,8 @@ class TopKCursor:
     def _relax(self, node: int) -> None:
         """Open the gates ``node``'s pop unlocks (vectorized CSR relax).
 
-        Shares :func:`~repro.core.query.relax_gates` with the batch kernel,
-        so the cursor's access order, scores, and Definition 9 accounting
+        Uses :func:`~repro.core.query.relax_gates`, the same relaxation
+        :func:`process_top_k` inlines, so the cursor's access order, scores, and Definition 9 accounting
         stay bitwise identical to a one-shot :func:`process_top_k` run at
         the same depth.
         """

@@ -1,40 +1,33 @@
 """Auto kernel dispatch for Algorithm 2 traversals.
 
-BENCH_query.json (committed, full scale) shows no single kernel wins
-everywhere:
+Three kernels serve every query, each bitwise identical to the others
+(result bytes and Definition 9 real/pseudo counts):
 
-* the **native** compiled kernel (``repro/core/native/`` — the C classic
-  walk loaded via cffi ABI mode) removes the per-round python overhead
-  entirely and wins every *solo* cell where it is available, by 5–9x
-  over csr at full scale;
-* the CSR kernel is 2.4–3.4x faster than the per-node reference at d=4,
-  and still 1.2–1.3x faster at d=2 once the structure reaches ~100k
-  tuples — vectorized gate relaxation amortizes well when pops open many
-  children;
-* but on *small low-dimensional* structures (d=2, n=10k: 0.89x IND,
-  0.73x ANT) the reference kernel wins among the python kernels: pops
-  open only a handful of children there, and the fixed overhead of
-  whole-slice numpy ops exceeds the python loop it replaces;
-* and once a caller presents many queries at once, the lane-parallel
-  batch kernel beats the solo kernels — it walks the gate graph once per
-  *round* for all lanes and scores every lane's opened children in one
-  GEMM-shaped contraction (see BENCH_query.json's ``batch`` sweep).
+* **native** — the bundled C classic walk (``repro/core/native/``,
+  loaded via cffi ABI mode), the fast path;
+* **csr** — :func:`repro.core.query.process_top_k`, the python classic
+  walk over the CSR gate graph, the portable fallback for hosts without
+  a C compiler;
+* **reference** — :func:`repro.core.query.process_top_k_reference`, the
+  per-node oracle, never picked by ``auto``.
 
-``select_kernel`` encodes those calibrated crossover points so
-``kernel="auto"`` (the serving/cluster default) picks the right kernel
-from structure size, dimensionality, batch width, and — when pruning is
-requested — whether the structure actually carries a bound table
-(structures frozen without bounds cannot serve a pruning-dependent
-plan, so ``auto`` falls back to a bound-free kernel there).
+``select_kernel`` (the ``kernel="auto"`` rule used by serving and
+cluster engines) therefore has one crossover: ``native`` whenever the
+compiled walker is usable for the structure's shape, else ``csr``.
+The committed ``BENCH_query.json`` backs it: native solo p50 beats csr in
+every cell, and a batch of queries is served as a loop of solo walks
+(the deleted lock-step python batch walk cost more per query than one
+native solo walk at every batch width).
+``bench-check`` gates both: ``auto`` must not lose to the best solo
+kernel, and ``query_batch`` must not lose to a per-query loop at any
+batch width.
 
-The ``"native"`` kernel (alias ``"jit"``, kept for compatibility with
-the PR 8 registration slot) is served through
-:func:`register_jit_kernel` / :func:`get_jit_kernel`.  On first demand
-the bundled C walker auto-registers itself — building its ``.so`` with
-the host compiler if no cached build exists.  When no compiler is
-present or the build fails, the ``auto`` path logs one warning and
-falls back to the python kernels permanently; only an explicit
-``kernel="native"`` request raises
+The ``"native"`` kernel is served through :func:`register_jit_kernel` /
+:func:`get_jit_kernel`.  On first demand the bundled C walker
+auto-registers itself — building its ``.so`` with the host compiler if
+no cached build exists.  When no compiler is present or the build fails,
+the ``auto`` path logs one warning and falls back to ``csr``
+permanently; only an explicit ``kernel="native"`` request raises
 :class:`~repro.exceptions.KernelUnavailableError`.
 """
 
@@ -44,27 +37,6 @@ from typing import Callable, Optional
 
 from repro.core.structure import LayerStructure
 from repro.exceptions import KernelUnavailableError
-
-#: Node-count threshold below which (at low d) the per-node reference
-#: kernel beats the vectorized CSR kernel. Calibrated from
-#: BENCH_query.json: csr loses at n=10k d=2 (0.89x/0.73x) but wins at
-#: n=100k d=2 (1.27x/1.16x); 32768 sits between the measured cells.
-#: Only consulted when the native kernel is unavailable.
-AUTO_SMALL_STRUCTURE_NODES = 32768
-
-#: Dimension threshold for the small-structure exception. At d>=3 the
-#: batched einsum scoring already pays off even on 10k-node structures
-#: (csr 1.9–2.4x at d=4 n=10k), so only d<=2 dispatches to reference.
-AUTO_SMALL_STRUCTURE_DIM = 2
-
-#: Minimum number of same-k query lanes before the lane-parallel batch
-#: kernel is dispatched. Calibrated from BENCH_query.json's batch sweep:
-#: at B=8 the batch kernel already beats per-query csr on every
-#: committed cell, while B<8 round overheads can lose on small cells.
-#: The crossover survives the native kernel: at B=8 the batch kernel's
-#: one-GEMM-per-round scoring still beats eight compiled solo walks on
-#: the committed cells, so batch dispatch is unchanged.
-AUTO_BATCH_MIN_LANES = 8
 
 #: Dimensionality ceiling for the native kernel's bitwise contract
 #: (numpy's einsum switches its float reduction tree at d=8; the C dot
@@ -79,7 +51,7 @@ NATIVE_DISPATCH_MAX_DIM = 7
 #: committed bench grid).
 NATIVE_DISPATCH_MAX_NODES = 2**30 - 1
 
-VALID_KERNELS = ("auto", "reference", "csr", "batch", "native", "jit")
+VALID_KERNELS = ("auto", "reference", "csr", "native")
 
 #: Registered compiled solo kernel, or ``None``. Filled either by the
 #: bundled native walker's lazy auto-registration (see
@@ -94,7 +66,7 @@ _AUTOLOAD_ATTEMPTED = False
 
 
 def register_jit_kernel(kernel: Optional[Callable]) -> None:
-    """Install (or with ``None``, clear) the ``kernel="native"``/``"jit"`` slot.
+    """Install (or with ``None``, clear) the ``kernel="native"`` slot.
 
     The callable must honour the :func:`repro.core.query.process_top_k`
     signature and its bitwise-identity contract — registration is a
@@ -129,7 +101,7 @@ def _try_autoload_native() -> None:
 def get_jit_kernel() -> Callable:
     """Return the compiled kernel or raise :class:`KernelUnavailableError`.
 
-    Reached by explicit ``kernel="native"``/``"jit"`` requests and by
+    Reached by explicit ``kernel="native"`` requests and by
     ``auto`` dispatches that already verified availability through
     :func:`native_kernel_usable`, so the error names the remedy.
     """
@@ -171,49 +143,19 @@ def select_kernel(
     *,
     n_nodes: int | None = None,
     d: int | None = None,
-    batch_width: int = 1,
-    prune: bool = False,
-    has_bounds: bool | None = None,
 ) -> str:
     """Pick the concrete kernel for an ``auto`` dispatch.
 
     Pass either a built ``structure`` or explicit ``n_nodes``/``d``
-    (both required in that case). ``batch_width`` is the number of
-    queries sharing one traversal opportunity (same effective k).
-    ``prune`` says the caller wants layer-bound skipping; pruning is a
-    property of the csr/batch/native kernels only, and only on
-    structures that carry a bound table, so ``prune=True`` with bounds
-    present steers the small-structure case away from ``"reference"``
-    (which cannot prune), while ``prune=True`` without bounds changes
-    nothing — the caller must run unpruned anyway. ``has_bounds``
-    overrides the structure's own
-    :attr:`~repro.core.structure.LayerStructure.has_layer_bounds`
-    when dispatching from shape alone.
-
-    Returns one of ``"batch"``, ``"native"``, ``"reference"``,
-    ``"csr"`` — never ``"auto"`` or ``"jit"``.  ``"native"`` is
-    returned only when the compiled kernel is importable *now* (the
-    probe builds on first use); otherwise the python crossovers below
-    apply unchanged, so a host without a C compiler dispatches exactly
-    as before this kernel existed.
+    (both required in that case).  Returns ``"native"`` when the compiled
+    walker is usable for that shape *now* (the probe builds on first
+    use), else ``"csr"`` — never ``"auto"`` or ``"reference"``.  Batch
+    width and pruning do not enter: both kernels prune, and a group of
+    queries runs fastest as a loop of native walks.
     """
     if structure is not None:
         n_nodes = structure.n_nodes
         d = structure.values.shape[1]
-        if has_bounds is None:
-            has_bounds = structure.has_layer_bounds
     if n_nodes is None or d is None:
         raise ValueError("select_kernel needs a structure or both n_nodes and d")
-    if has_bounds is None:
-        has_bounds = False
-    if batch_width >= AUTO_BATCH_MIN_LANES:
-        return "batch"
-    # Solo/low-batch: the compiled walk wins every committed solo cell
-    # it supports (5–9x over csr at full scale, and still ahead at
-    # n=2k — per-pop cost is two orders of magnitude below python's),
-    # so availability is the only crossover.
-    if native_kernel_usable(n_nodes, d):
-        return "native"
-    if n_nodes <= AUTO_SMALL_STRUCTURE_NODES and d <= AUTO_SMALL_STRUCTURE_DIM:
-        return "csr" if (prune and has_bounds) else "reference"
-    return "csr"
+    return "native" if native_kernel_usable(n_nodes, d) else "csr"

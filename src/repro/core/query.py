@@ -100,10 +100,9 @@ def seed_scores(
 
     This is the single scoring path shared by :func:`process_top_k`,
     :func:`process_top_k_reference`,
-    :class:`~repro.core.cursor.TopKCursor`, and the batched serving engine
-    (:mod:`repro.serving`): because all of them obtain seed scores from this
-    helper, their answers agree bitwise — a batched query is byte-identical
-    to its sequential counterpart.
+    :class:`~repro.core.cursor.TopKCursor`, and the native kernel: because
+    all of them obtain seed scores from this helper, their answers agree
+    bitwise.
 
     Seeds use the same ``einsum`` contraction as child scoring, not BLAS
     gemv: identical value rows must receive identical scores no matter
@@ -178,27 +177,16 @@ class QueryWorkspace:
     returning, so a steady-state query allocates no O(n) scratch at all
     (a tracemalloc regression test pins this).
 
-    Sharing follows :class:`BatchWorkspace`: checkout is non-blocking —
-    a query that finds the workspace busy falls back to a private template
-    copy (counted in :attr:`fallbacks`; the serving engine surfaces both
-    counters in its stats) — and a query that dies mid-traversal drops
-    the state array instead of restoring it.  The array is keyed by
-    template *identity*, so a rebuilt structure transparently re-primes
-    fresh state.
-
-    The workspace also carries the speculative walker's learned AIMD
-    run-length ceiling (:attr:`spec_ceiling`) across queries: workloads
-    where multi-pop speculation keeps rolling back converge to the
-    classic single-pop schedule after the first query instead of
-    re-paying the discovery cost per query.  The ceiling only shapes the
-    walk *schedule* — answers and Definition 9 counts stay bitwise
-    identical at any ceiling — so carrying it across queries never
-    couples one query's results to another's.
+    Checkout is non-blocking: a query that finds the workspace busy falls
+    back to a private template copy (counted in :attr:`fallbacks`; the
+    serving engine surfaces both counters in its stats), and a query that
+    dies mid-traversal drops the state array instead of restoring it.
+    The array is keyed by template *identity*, so a rebuilt structure
+    transparently re-primes fresh state.
     """
 
     __slots__ = (
-        "_lock", "_state", "_template", "_stats_lock",
-        "checkouts", "fallbacks", "spec_ceiling", "_spec_streak",
+        "_lock", "_state", "_template", "_stats_lock", "checkouts", "fallbacks",
     )
 
     def __init__(self) -> None:
@@ -211,12 +199,6 @@ class QueryWorkspace:
         #: Queries that found the workspace busy and fell back to a
         #: private template copy.
         self.fallbacks = 0
-        #: Speculative run-length ceiling carried across queries
-        #: (written back by the walker under the workspace lock).
-        self.spec_ceiling = _SPEC_RUN_CAP
-        # Consecutive rollback-free queries since the last ceiling
-        # change; gates how often the walker probes the ceiling back up.
-        self._spec_streak = 0
 
     def _checkout(self, structure: LayerStructure) -> np.ndarray:
         """Return the template-state array for ``structure`` (lock held)."""
@@ -234,27 +216,6 @@ class QueryWorkspace:
     def _count_fallback(self) -> None:
         with self._stats_lock:
             self.fallbacks += 1
-
-
-#: Speculative run-length schedule: a query's first round pops up to
-#: ``_SPEC_CAP0`` entries, the cap triples after every round up to
-#: ``_SPEC_RUN_CAP``, and a rollback resets it to 1 (the classic single
-#: pop, which always settles).  Starting small keeps rollbacks rare —
-#: mis-speculations cluster in the dense early rounds — while the steep
-#: growth covers a typical k=10 walk in a handful of rounds (measured
-#: faster than doubling: fewer, fatter fused rounds amortize the fixed
-#: per-round numpy overhead without raising the rollback rate).
-_SPEC_CAP0 = 1
-_SPEC_GROWTH = 3
-_SPEC_RUN_CAP = 48
-#: Once a workspace's carried ceiling has collapsed to 1 the walker
-#: stops speculating altogether — it delegates to the classic schedule,
-#: which has no fused-round machinery at all — and only re-probes
-#: speculation (one query at ceiling 2) every this-many queries.  The
-#: probe keeps a converged workload from being locked out forever if its
-#: weight mix drifts, while costing at most one small mis-speculated
-#: round per probe interval.
-_SPEC_PROBE_STREAK = 8
 
 
 def process_top_k(
@@ -276,19 +237,13 @@ def process_top_k(
     Definition 9 access count are bitwise identical to
     :func:`process_top_k_reference`.
 
-    Two walk schedules implement the kernel.  The *classic* schedule
-    (:func:`_solo_walk_classic`) pops one heap entry per round; the
-    *speculative* schedule (:func:`_solo_walk_speculative`) pops a run of
-    entries and relaxes them in one fused pass, settling each round
-    against the classic order — it is chosen automatically whenever
-    nothing observes per-access order (no ``fetch_real``, no trace hook,
-    no pruning) and is bitwise identical by construction.
+    The walk itself (:func:`_solo_walk_classic`) pops one heap entry per
+    round; this wrapper only manages the gate-state scratch around it.
 
     ``fetch_real(node) -> values`` overrides where *real* tuple values come
     from (disk-resident execution reads them through a buffered heap file);
     pseudo-tuples always score from the in-memory structure.  ``seeds``
-    optionally supplies a precomputed :func:`seed_scores` result (the batch
-    serving engine computes it once per deduplicated weight vector); it is
+    optionally supplies a precomputed :func:`seed_scores` result; it is
     ignored when ``fetch_real`` is given, since real seed values must then
     come from storage.  ``workspace`` (see :class:`QueryWorkspace`)
     amortizes gate-state initialisation across queries; omitting it keeps
@@ -316,9 +271,9 @@ def process_top_k(
     descends, so the verdict can never be invalidated, and later children
     from that sublayer skip the per-node block gather entirely.  The drop
     *set* is provably identical to a block-only check (a sublayer minimum
-    lower-bounds all of its blocks' minima), so pruned access counts stay
-    bitwise compatible with the block-only batch kernel.  Bounds are
-    gathered lazily, per opened batch — no per-query O(n) precompute.
+    lower-bounds all of its blocks' minima), so pruned access counts equal
+    those of a block-only check.  Bounds are gathered lazily, per opened
+    batch — no per-query O(n) precompute.
     The bound comparison is only sound against einsum-scored nodes, so
     pruning is ignored when ``fetch_real`` rescoring is in effect; it is
     off by default because the access count is part of the
@@ -345,16 +300,10 @@ def process_top_k(
         # entries are harmless — they restore the same template value).
         touched: list[np.ndarray] = []
         try:
-            if fetch_real is None and trace_hook is None and not prune:
-                result = _solo_walk_speculative(
-                    structure, weights, k, counter, seeds, state, touched,
-                    workspace if ws_acquired else None,
-                )
-            else:
-                result = _solo_walk_classic(
-                    structure, weights, k, counter, fetch_real, trace_hook,
-                    seeds, prune, state, touched,
-                )
+            result = _solo_walk_classic(
+                structure, weights, k, counter, fetch_real, trace_hook,
+                seeds, prune, state, touched,
+            )
         except BaseException:
             if ws_acquired:
                 workspace._invalidate()
@@ -366,276 +315,6 @@ def process_top_k(
     finally:
         if ws_acquired:
             workspace._lock.release()
-
-
-def _solo_walk_speculative(
-    structure: LayerStructure,
-    weights: np.ndarray,
-    k: int,
-    counter: AccessCounter,
-    seeds: tuple[np.ndarray, np.ndarray] | None,
-    state: np.ndarray,
-    touched: list[np.ndarray],
-    workspace: QueryWorkspace | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Speculative multi-pop walk — the fast schedule of :func:`process_top_k`.
-
-    A round pops a *run* of up to ``cap`` heap entries (stopping early when
-    the run would complete the answer), relaxes every popped node's gates
-    in one fused two-phase pass (all ∀-decrements, then all ∃-ungates — the
-    ∃ gather must observe the ∀ writes since a node's fused state mixes
-    both components), and scores all newly opened children in one
-    contraction.  The *settlement* step then proves the round equals the
-    one-pop-at-a-time schedule: every entry left on the heap already
-    exceeds the run's last entry (they were not among the ``m`` smallest),
-    so the round is exact iff every opened child also sorts after the last
-    run entry in ``(score, id)`` order — then the classic schedule would
-    have popped exactly this run, in this order, before any child, and
-    heap pop order for unique tuples is insensitive to push order.  Gate
-    soundness makes that the common case (children score weakly above
-    their parents); when it fails, the gate writes are rolled back (∃
-    before ∀ — a node can be both edge kinds' child, and its pre-round
-    value is the ∀-side one), the run is re-pushed, and the round retries
-    with ``cap = 1`` — the classic single pop, which always settles, so
-    progress is guaranteed.  ``cap`` grows by :data:`_SPEC_GROWTH` per
-    round under an AIMD ceiling that halves on every rollback: walks
-    where speculation pays (high-d, fat frontiers) run long fused
-    rounds, while walks where it keeps failing (low-d chains whose every
-    pop opens a better-scoring child) collapse to the classic single-pop
-    loop instead of thrashing.  When a ``workspace`` is supplied the
-    ceiling is carried across queries — halved once per rolled-back
-    query, doubled per rollback-free query, and once it reaches 1 the
-    walker delegates whole queries to :func:`_solo_walk_classic`, re-
-    probing speculation every :data:`_SPEC_PROBE_STREAK`-th query — so
-    rollback-storm workloads converge to the classic schedule once per
-    workload, not per query; without a workspace each query starts from
-    :data:`_SPEC_RUN_CAP`.  The ceiling never affects results —
-    every committed round is proven equal to the classic schedule.
-
-    Definition 9 totals are accumulated in two Python ints and flushed
-    once at the end — totals are order-free, so the counter sees the same
-    sums as the classic schedule.  Runs that would emit the k-th answer
-    stop at it and skip relaxing it (the classic break-before-relax).
-    """
-    if workspace is not None:
-        ceiling0 = workspace.spec_ceiling
-        if ceiling0 <= 1:
-            streak = workspace._spec_streak + 1
-            if streak < _SPEC_PROBE_STREAK:
-                # Converged: this workload's rollback storms collapsed
-                # the ceiling to 1, where the fused path is pure
-                # overhead — run the classic schedule outright (bitwise
-                # identical by construction) until the next probe.
-                workspace._spec_streak = streak
-                return _solo_walk_classic(
-                    structure, weights, k, counter, None, None, seeds,
-                    False, state, touched,
-                )
-            # Probe round: one speculative query at the smallest useful
-            # ceiling decides whether speculation gets re-enabled.
-            workspace._spec_streak = 0
-            ceiling0 = 2
-    else:
-        ceiling0 = _SPEC_RUN_CAP
-    values = structure.values
-    n_real = structure.n_real
-    f_indptr, e_indptr = structure.csr_indptr_lists()
-    f_indices = structure.forall_indices
-    e_indices = structure.exists_indices
-    exists_offset = structure.n_nodes + 1
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    concatenate = np.concatenate
-    unique = np.unique
-    count_nonzero = np.count_nonzero
-    t_append = touched.append
-
-    if seeds is None:
-        seeds = seed_scores(structure, weights)
-    seed_ids, precomputed = seeds
-    state[seed_ids] = -1
-    t_append(seed_ids)
-    heap = list(zip(precomputed.tolist(), seed_ids.tolist()))
-    heapq.heapify(heap)
-    real_seeds = int(np.count_nonzero(seed_ids < n_real))
-    counter.count_real(real_seeds)
-    counter.count_pseudo(seed_ids.shape[0] - real_seeds)
-
-    acc_real = 0
-    acc_total = 0
-    answer_ids: list[int] = []
-    answer_scores: list[float] = []
-    cap = _SPEC_CAP0
-    # AIMD ceiling on the run length: each rollback halves it, each
-    # committed round lets cap regrow toward it.  Walks where
-    # speculation keeps failing (low-d chains open one better-scoring
-    # child per pop) collapse to ceiling 1 — the classic single-pop
-    # loop — instead of paying a wasted fused round per pop.  The
-    # The carried ceiling persists across queries through the
-    # workspace: a rolled-back query halves it once (the within-query
-    # AIMD collapse above still protects *this* query, but its full
-    # depth is one query's evidence, not the workload's), a rollback-
-    # free query doubles it back, and a collapse to 1 hands subsequent
-    # queries to the classic schedule (see the delegation at the top) —
-    # so rollback-storm workloads pay discovery once, not per query.
-    ceiling = ceiling0
-    rolled_back = False
-    while heap and len(answer_ids) < k:
-        # Build the run: the m smallest heap entries, cut short at the
-        # entry that completes the answer (that one is never relaxed).
-        needed = k - len(answer_ids)
-        run: list[tuple[float, int]] = []
-        reals = 0
-        terminal = False
-        while heap and len(run) < cap:
-            entry = heappop(heap)
-            run.append(entry)
-            if entry[1] < n_real:
-                reals += 1
-                if reals == needed:
-                    terminal = True
-                    break
-        if cap < ceiling:
-            cap = min(cap * _SPEC_GROWTH, ceiling)
-        if len(run) == 1:
-            # Classic single-pop round: nothing else was committed, so no
-            # settlement is needed.  Also the rollback retry path.
-            score, node = run[0]
-            if node < n_real:
-                answer_ids.append(node)
-                answer_scores.append(score)
-                if terminal:
-                    continue
-            start, end = f_indptr[node], f_indptr[node + 1]
-            opened_f = opened_e = None
-            if start != end:
-                children = f_indices[start:end]
-                count = state[children] - 1
-                state[children] = count
-                t_append(children)
-                opened = children[count == 0]
-                if opened.shape[0]:
-                    opened_f = opened
-            start, end = e_indptr[node], e_indptr[node + 1]
-            if start != end:
-                children = e_indices[start:end]
-                count = state[children]
-                gated = count >= exists_offset
-                if gated.any():
-                    newly = children[gated]
-                    count = count[gated] - exists_offset
-                    state[newly] = count
-                    t_append(newly)
-                    opened = newly[count == 0]
-                    if opened.shape[0]:
-                        opened_e = opened
-            if opened_f is None:
-                opened = opened_e
-            elif opened_e is None:
-                opened = opened_f
-            else:
-                opened = concatenate((opened_f, opened_e))
-            if opened is not None:
-                state[opened] = -1
-                scores = _einsum("ij,j->i", values[opened], weights)
-                acc_total += opened.shape[0]
-                acc_real += int(count_nonzero(opened < n_real))
-                for pair in zip(scores.tolist(), opened.tolist()):
-                    heappush(heap, pair)
-            continue
-
-        # Fused multi-pop relax over the whole run (minus a terminal
-        # entry).  The ∀ side deduplicates with np.unique so a node's
-        # count drops by its number of popped ∀-parents in one write; the
-        # ∃ side needs no dedup — the offset subtraction is a plain
-        # assignment, and duplicate occurrences of a node write the same
-        # value ("any parent" semantics).  Newly opened ∃-children are
-        # deduplicated after the fact (the opened set is tiny).
-        relax = run[:-1] if terminal else run
-        f_kids = concatenate(
-            [f_indices[f_indptr[x]:f_indptr[x + 1]] for _, x in relax]
-        )
-        e_kids = concatenate(
-            [e_indices[e_indptr[x]:e_indptr[x + 1]] for _, x in relax]
-        )
-        uf = eg = None
-        opened_f = opened_e = None
-        if f_kids.shape[0]:
-            uf, f_dec = unique(f_kids, return_counts=True)
-            old_f = state[uf]
-            new_f = old_f - f_dec
-            state[uf] = new_f
-            opened = uf[new_f == 0]
-            if opened.shape[0]:
-                opened_f = opened
-        if e_kids.shape[0]:
-            cur_e = state[e_kids]
-            gated = cur_e >= exists_offset
-            if gated.any():
-                eg = e_kids[gated]
-                e_vals = cur_e[gated] - exists_offset
-                state[eg] = e_vals
-                opened = eg[e_vals == 0]
-                if opened.shape[0]:
-                    # A node gated by two popped ∃-parents appears twice.
-                    opened_e = unique(opened)
-        if opened_f is None:
-            opened = opened_e
-        elif opened_e is None:
-            opened = opened_f
-        else:
-            opened = concatenate((opened_f, opened_e))
-        if opened is not None:
-            scores = _einsum("ij,j->i", values[opened], weights)
-            last_score, last_node = run[-1]
-            low = scores.min()
-            if low < last_score or (
-                low == last_score
-                and bool(((scores == last_score) & (opened < last_node)).any())
-            ):
-                # Mis-speculation: some opened child would pop before the
-                # run's last entry.  Undo the gate writes (∃ first — a
-                # node may be both edge kinds' child, and its pre-round
-                # value is the ∀-side one) and replay classically.
-                if eg is not None:
-                    state[eg] = e_vals + exists_offset
-                if uf is not None:
-                    state[uf] = old_f
-                for entry in reversed(run):
-                    heappush(heap, entry)
-                cap = 1
-                ceiling >>= 1  # multiplicative decrease; 0 pins cap at 1
-                rolled_back = True
-                continue
-            state[opened] = -1
-            acc_total += opened.shape[0]
-            acc_real += int(count_nonzero(opened < n_real))
-            for pair in zip(scores.tolist(), opened.tolist()):
-                heappush(heap, pair)
-        if uf is not None:
-            t_append(uf)
-        if eg is not None:
-            t_append(eg)
-        for score, node in run:
-            if node < n_real:
-                answer_ids.append(node)
-                answer_scores.append(score)
-
-    if workspace is not None:
-        if rolled_back:
-            workspace.spec_ceiling = max(1, ceiling0 // 2)
-        else:
-            workspace.spec_ceiling = min(_SPEC_RUN_CAP, ceiling0 * 2)
-        workspace._spec_streak = 0
-    if acc_real:
-        counter.count_real(acc_real)
-    pseudo = acc_total - acc_real
-    if pseudo:
-        counter.count_pseudo(pseudo)
-    return (
-        np.asarray(answer_ids, dtype=np.intp),
-        np.asarray(answer_scores, dtype=np.float64),
-    )
 
 
 def _solo_walk_classic(
@@ -650,12 +329,11 @@ def _solo_walk_classic(
     state: np.ndarray,
     touched: list[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One-pop-per-round walk — the observing schedule of :func:`process_top_k`.
+    """One-pop-per-round walk behind :func:`process_top_k`.
 
-    Serves the modes speculation cannot: ``fetch_real`` storage reads,
-    per-access trace hooks, and ``prune`` (whose k-th floor must advance
-    in exact access order).  This is also the schedule the speculative
-    walk's settlement step certifies against.
+    Accesses nodes in exact heap order, so ``fetch_real`` storage reads,
+    per-access trace hooks and the ``prune`` k-th floor all observe the
+    same sequence as :func:`process_top_k_reference`.
     """
     values = structure.values
     n_real = structure.n_real
@@ -859,622 +537,6 @@ def _solo_walk_classic(
         np.asarray(answer_ids, dtype=np.intp),
         np.asarray(answer_scores, dtype=np.float64),
     )
-
-
-class BatchWorkspace:
-    """Reusable gate-state scratch for :func:`process_top_k_batch`.
-
-    The batch kernel needs one fused gate-state slot per (node, lane) pair.
-    Copying the template into a fresh ``(n_nodes, B)`` matrix costs a full
-    memory sweep per batch (~1 ms at n=100k, B=32 — comparable to the
-    traversal itself), but a batch only ever *touches* the entries its
-    rounds relax.  A workspace keeps the matrix allocated in template state
-    between batches; the kernel records every entry it writes and restores
-    exactly those from the template before returning, so re-initialisation
-    costs O(touched) instead of O(n_nodes x B).
-
-    A workspace belongs to one owner (e.g. a ``QueryEngine``).  It is safe
-    to share: the kernel takes the internal lock without blocking and
-    falls back to a fresh allocation when the workspace is busy, and a
-    batch that dies mid-traversal drops the matrix instead of restoring
-    it.  The backing matrix is keyed by template *identity* (the template
-    array is cached on the immutable structure, so identity tracks
-    structure lifetime through rebuilds) and grows to the widest batch
-    seen.
-    """
-
-    __slots__ = ("_lock", "_state", "_template", "_edges_disjoint")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._state: np.ndarray | None = None
-        self._template: np.ndarray | None = None
-        self._edges_disjoint = False
-
-    def _checkout(self, structure: LayerStructure, n_lanes: int) -> np.ndarray:
-        """Return a template-state matrix with >= ``n_lanes`` columns."""
-        template = structure.gate_state_template()
-        state = self._state
-        if state is not None and self._template is template:
-            if state.shape[1] >= n_lanes:
-                return state
-        else:
-            # New structure: when its ∀- and ∃-edge sets are disjoint (no
-            # parent lists the same child in both CSRs — true for every
-            # structure the builder emits, and cached on the structure),
-            # the kernel may relax both gate kinds of a round in one fused
-            # gather/scatter pass; otherwise it keeps the two-phase order
-            # (∀ writes before ∃ reads).
-            self._edges_disjoint = structure.edges_disjoint()
-        state = np.broadcast_to(
-            template[:, None], (template.shape[0], n_lanes)
-        ).copy()
-        self._state = state
-        self._template = template
-        return state
-
-    def _invalidate(self) -> None:
-        self._state = None
-        self._template = None
-
-
-def process_top_k_batch(
-    structure: LayerStructure,
-    weights_matrix: np.ndarray,
-    k,
-    counters,
-    fetch_real=None,
-    seeds=None,
-    workspace: BatchWorkspace | None = None,
-    prune: bool = False,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Run B top-k queries through one lane-parallel traversal.
-
-    ``weights_matrix`` is a ``(B, d)`` matrix of (normalized) weight
-    vectors; lane ``i`` answers the query ``weights_matrix[i]`` with
-    retrieval size ``k`` (a scalar, or a length-B sequence for mixed-``k``
-    batches) and charges its Definition 9 cost to ``counters[i]``.  Returns
-    one ``(ids, scores)`` pair per lane, each **bitwise identical** — ids,
-    float scores, ascending order, per-lane real/pseudo access counts — to
-    running :func:`process_top_k` on that lane alone.
-
-    How the lanes share work
-    ------------------------
-    Gate state lives in one ``(n_nodes, B)`` matrix: column ``i`` is lane
-    ``i``'s fused per-node state int (the same encoding as the single-query
-    kernel).  Node-major layout keeps a round's writes cache-local: live
-    lanes traverse the same shallow layers, so the (node, lane) pairs of a
-    round cluster in nearby rows.  The traversal proceeds in lock-step
-    *rounds*: every live lane pops one node from its private heap, then all
-    popped nodes' gates are relaxed together — the ∀-child slices of every
-    lane are gathered into one flat (node, lane) index list and decremented
-    with a single fancy-indexed op (pairs are unique within a round, so no
-    update is lost), and likewise for the ∃-gates.  Every newly opened
-    child of every lane is then scored in one batched contraction, and
-    Definition 9 counts are settled with one per-lane ``bincount`` instead
-    of a python call per access.
-
-    Why the answers stay bitwise identical
-    --------------------------------------
-    * Lanes never interact: each has its own state column, heap, answer
-      list, and counter, so a round is just an interleaving of B
-      independent per-query steps.  Lanes finish independently (k answers
-      emitted or heap drained) and are masked out of later rounds — a cheap
-      lane never waits on an expensive one, and a finished lane's final pop
-      skips gate relaxation exactly like the single-query kernel's
-      break-before-relax.
-    * Scoring uses the paired contraction
-      ``einsum("ij,ij->i", opened_values, weights_matrix[opened_lanes])``,
-      which is bitwise equal to both the per-query ``score_rows``
-      contraction and the GEMM form
-      ``einsum("ij,kj->ik", opened_values, weights_matrix)`` gathered per
-      lane — the per-row reduction order of this ``einsum`` family depends
-      only on ``d`` (see the module docstring) — while doing B-fold less
-      arithmetic than the GEMM.  Heap order, tie-breaks on duplicate
-      tuples, and emitted scores therefore cannot drift by even an ulp;
-      the batch-equivalence property suite asserts this across the full
-      distribution/dimension grid.
-    * Seed scoring goes through the shared :func:`seed_scores` path with a
-      fresh contiguous copy of each lane's weight row (a row *view* of the
-      matrix has lane-dependent alignment; a copy has the same layout a
-      solo query's weight vector does).
-
-    ``fetch_real`` behaves as in :func:`process_top_k` (per-node storage
-    reads; scoring arithmetic matches the per-query kernel exactly).
-    ``seeds`` optionally supplies one precomputed :func:`seed_scores`
-    result per lane; ignored when ``fetch_real`` is given.  ``workspace``
-    (see :class:`BatchWorkspace`) amortizes gate-state initialisation
-    across batches; omitting it keeps the kernel a pure function.
-
-    ``prune=True`` enables per-lane layer-bound skipping with the same
-    semantics as the per-query kernel (see :func:`process_top_k`): each
-    lane tracks its own k-th smallest real score, the per-lane bound
-    matrix comes from the GEMM-shaped contraction (bitwise equal per
-    column to the per-query bound vector), and a pruned batch lane's ids,
-    scores, *and* access counts are bitwise identical to the pruned
-    per-query kernel on that lane alone.  Ignored when ``fetch_real`` is
-    given.
-    """
-    weights_matrix = np.asarray(weights_matrix, dtype=np.float64)
-    if weights_matrix.ndim != 2:
-        raise ValueError(
-            f"weights_matrix must be 2-D (B, d), got shape {weights_matrix.shape}"
-        )
-    n_lanes = weights_matrix.shape[0]
-    counters = list(counters)
-    if len(counters) != n_lanes:
-        raise ValueError(
-            f"need one counter per lane: {n_lanes} lanes, {len(counters)} counters"
-        )
-    ks = [int(x) for x in np.broadcast_to(np.asarray(k, dtype=np.int64), (n_lanes,))]
-    if n_lanes == 0:
-        return []
-    if not structure.complete and max(ks) > structure.num_coarse_layers:
-        raise IndexCapacityError(
-            f"index was built with only {structure.num_coarse_layers} coarse "
-            f"layers; top-{max(ks)} requires at least k layers"
-        )
-
-    values = structure.values
-    n_real = structure.n_real
-    n_nodes = structure.n_nodes
-    f_indptr = structure.forall_indptr
-    f_indices = structure.forall_indices
-    e_indptr = structure.exists_indptr
-    e_indices = structure.exists_indices
-    exists_offset = n_nodes + 1
-    template = structure.gate_state_template()
-
-    ws_acquired = workspace is not None and workspace._lock.acquire(blocking=False)
-    try:
-        if ws_acquired:
-            state = workspace._checkout(structure, n_lanes)
-            restore = True
-            merged_rounds = workspace._edges_disjoint
-        else:
-            state = np.broadcast_to(template[:, None], (n_nodes, n_lanes)).copy()
-            restore = False
-            merged_rounds = False
-        stride = state.shape[1]
-        state_flat = state.reshape(-1)
-        # Undo log: every (node, lane) entry written this batch, as parallel
-        # lists of flat indices and node ids (the template value to restore).
-        touched_flat: list[np.ndarray] = []
-        touched_nodes: list[np.ndarray] = []
-
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        heapreplace = heapq.heapreplace
-        heaps: list[list[tuple[float, int]]] = [[] for _ in range(n_lanes)]
-        answer_ids: list[list[int]] = [[] for _ in range(n_lanes)]
-        answer_scores: list[list[float]] = [[] for _ in range(n_lanes)]
-        trace_hooks = [getattr(c, "count_real_tuple", None) for c in counters]
-        any_hook = any(hook is not None for hook in trace_hooks)
-
-        # Per-lane layer-bound skipping state (see process_top_k): a
-        # (node, lane) pair's bound is gathered lazily from the block
-        # metadata with the paired contraction — bitwise equal to the
-        # per-query kernel's per-row bound, so a pruned lane skips exactly
-        # the nodes its solo pruned run would skip (identical ids, scores,
-        # and access counts).
-        prune_blocks = prune_mins = None
-        if prune and fetch_real is None:
-            prune_blocks, prune_mins = structure.layer_bound_table()
-            kth_heaps: list[list[float]] = [[] for _ in range(n_lanes)]
-            kth_scores = np.full(n_lanes, np.inf)
-
-        def kth_note(lane: int, score: float) -> None:
-            """Fold a real score into ``lane``'s running k-th smallest."""
-            kh = kth_heaps[lane]
-            if len(kh) < ks[lane]:
-                heappush(kh, -score)
-                if len(kh) == ks[lane]:
-                    kth_scores[lane] = -kh[0]
-            elif score < kth_scores[lane]:
-                heapreplace(kh, -score)
-                kth_scores[lane] = -kh[0]
-
-        # Fresh contiguous per-lane weight copies for the paths that score
-        # one node at a time: a row view's alignment depends on the lane
-        # offset, a copy's does not — per-node scoring and seed scoring
-        # must see the exact memory layout a solo query would.  The static
-        # all-lane seed path below never scores per lane, so it skips them.
-        lane_weights: list[np.ndarray] | None = None
-        if (
-            fetch_real is None
-            and seeds is None
-            and structure.seed_selector is None
-            and not any_hook
-        ):
-            # Static seeds are one shared block for every lane: score them
-            # with a single GEMM-shaped contraction (bitwise equal per
-            # column to seed_scores' per-row contraction) and stamp all
-            # (seed, lane) slots in one write.
-            seed_ids, block = structure.seed_block()
-            seed_matrix = _einsum("ij,kj->ik", block, weights_matrix)
-            real_seeds = int(np.count_nonzero(seed_ids < n_real))
-            pseudo_seeds = seed_ids.shape[0] - real_seeds
-            seed_grid = (
-                seed_ids[:, None] * stride
-                + np.arange(n_lanes, dtype=np.intp)[None, :]
-            ).reshape(-1)
-            state_flat[seed_grid] = -1
-            if restore and seed_grid.shape[0]:
-                touched_flat.append(seed_grid)
-                touched_nodes.append(np.repeat(seed_ids, n_lanes))
-            seed_list = seed_ids.tolist()
-            for lane in range(n_lanes):
-                heap = list(zip(seed_matrix[:, lane].tolist(), seed_list))
-                heapq.heapify(heap)
-                heaps[lane] = heap
-                counters[lane].count_real(real_seeds)
-                counters[lane].count_pseudo(pseudo_seeds)
-                if prune_blocks is not None:
-                    for score, node in heap:
-                        if node < n_real:
-                            kth_note(lane, score)
-            lane_range: range | tuple = ()
-        else:
-            lane_weights = [
-                np.array(weights_matrix[lane], copy=True)
-                for lane in range(n_lanes)
-            ]
-            lane_range = range(n_lanes)
-
-        # Seeding replays the per-query kernel's seed path lane by lane (one
-        # einsum per lane through seed_scores — seeds are per query, not per
-        # pop, so this is off the hot path).
-        for lane in lane_range:
-            heap = heaps[lane]
-            counter = counters[lane]
-            trace_hook = trace_hooks[lane]
-            w = lane_weights[lane]
-            if fetch_real is not None:
-                enqueued: list[int] = []
-                for node in structure.seeds(w).tolist():
-                    slot = node * stride + lane
-                    if state_flat[slot] < 0:  # already enqueued (repeated seed)
-                        continue
-                    state_flat[slot] = -1
-                    enqueued.append(node)
-                    if node < n_real:
-                        score = float(fetch_real(node) @ w)
-                        counter.count_real()
-                        if trace_hook is not None:
-                            trace_hook(node)
-                    else:
-                        score = score_node(values, node, w)
-                        counter.count_pseudo()
-                    heappush(heap, (score, node))
-                if restore and enqueued:
-                    nodes_arr = np.asarray(enqueued, dtype=np.intp)
-                    touched_flat.append(nodes_arr * stride + lane)
-                    touched_nodes.append(nodes_arr)
-                continue
-            seed_ids, precomputed = (
-                seeds[lane] if seeds is not None else seed_scores(structure, w)
-            )
-            seed_slots = seed_ids * stride + lane
-            state_flat[seed_slots] = -1
-            if restore:
-                touched_flat.append(seed_slots)
-                touched_nodes.append(seed_ids)
-            if trace_hook is None:
-                real = 0
-                for node, score in zip(seed_ids.tolist(), precomputed.tolist()):
-                    if node < n_real:
-                        real += 1
-                    heap.append((score, node))
-                counter.count_real(real)
-                counter.count_pseudo(seed_ids.shape[0] - real)
-            else:
-                for node, score in zip(seed_ids.tolist(), precomputed.tolist()):
-                    if node < n_real:
-                        counter.count_real()
-                        trace_hook(node)
-                    else:
-                        counter.count_pseudo()
-                    heap.append((score, node))
-            heapq.heapify(heap)
-            if prune_blocks is not None:
-                for node, score in zip(seed_ids.tolist(), precomputed.tolist()):
-                    if node < n_real:
-                        kth_note(lane, score)
-
-        # Fast-path Definition 9 bookkeeping: per-lane real/pseudo access
-        # totals accumulate in two arrays (one bincount per round) and are
-        # flushed into the counters once at the end — totals are
-        # order-free, so deferring them is invisible.
-        fast_counts = fetch_real is None and not any_hook
-        if fast_counts:
-            acc_total = np.zeros(n_lanes, dtype=np.int64)
-            acc_real = np.zeros(n_lanes, dtype=np.int64)
-
-        active = [lane for lane in range(n_lanes) if heaps[lane] and ks[lane] > 0]
-        while active:
-            # One pop per live lane; a lane that emits its k-th answer skips
-            # relaxation entirely (the per-query kernel's
-            # break-before-relax).
-            relax_lanes: list[int] = []
-            relax_nodes: list[int] = []
-            for lane in active:
-                score, node = heappop(heaps[lane])
-                if node < n_real:
-                    emitted = answer_ids[lane]
-                    emitted.append(node)
-                    answer_scores[lane].append(score)
-                    if len(emitted) >= ks[lane]:
-                        continue
-                relax_lanes.append(lane)
-                relax_nodes.append(node)
-            if not relax_lanes:
-                break
-            lanes = np.asarray(relax_lanes, dtype=np.intp)
-            nodes = np.asarray(relax_nodes, dtype=np.intp)
-
-            if merged_rounds:
-                # Fused gate pass (∀/∃ edge sets verified disjoint at
-                # workspace checkout, so no (node, lane) pair appears
-                # twice): both edge kinds of every lane are gathered into
-                # one pair list, updated with one arithmetic sweep —
-                # ∀-entries decrement, gated ∃-entries subtract the offset —
-                # stamped, and scattered back in a single write.  Pair
-                # order is [∀ by lane, ∃ by lane], the reference access
-                # order (heap pops are tuple-ordered, so within-round push
-                # order cannot affect answers).
-                all_lanes = all_children = None
-                starts = f_indptr[nodes]
-                f_counts = f_indptr[nodes + 1] - starts
-                nf = int(f_counts.sum())
-                if nf:
-                    ends = np.cumsum(f_counts)
-                    flat = np.arange(nf, dtype=np.intp) + np.repeat(
-                        starts - (ends - f_counts), f_counts
-                    )
-                    f_children = f_indices[flat]
-                    f_lanes = np.repeat(lanes, f_counts)
-                starts = e_indptr[nodes]
-                e_counts = e_indptr[nodes + 1] - starts
-                ne = int(e_counts.sum())
-                if ne:
-                    ends = np.cumsum(e_counts)
-                    flat = np.arange(ne, dtype=np.intp) + np.repeat(
-                        starts - (ends - e_counts), e_counts
-                    )
-                    e_children = e_indices[flat]
-                    e_lanes = np.repeat(lanes, e_counts)
-                if nf and ne:
-                    children = np.concatenate((f_children, e_children))
-                    child_lanes = np.concatenate((f_lanes, e_lanes))
-                elif nf:
-                    children, child_lanes = f_children, f_lanes
-                elif ne:
-                    children, child_lanes = e_children, e_lanes
-                else:
-                    children = None
-                if children is not None:
-                    pair_flat = children * stride + child_lanes
-                    cur = state_flat[pair_flat]
-                    new = np.empty_like(cur)
-                    np.subtract(cur[:nf], 1, out=new[:nf])
-                    if ne:
-                        cur_e = cur[nf:]
-                        # Gated entries (state >= offset) drop the offset;
-                        # already-open ones pass through unchanged (their
-                        # state is never 0 between rounds, so they cannot
-                        # look freshly opened below).
-                        np.subtract(
-                            cur_e,
-                            (cur_e >= exists_offset)
-                            * state.dtype.type(exists_offset),
-                            out=new[nf:],
-                        )
-                    opened = new == 0
-                    if opened.any():
-                        all_lanes = child_lanes[opened]
-                        all_children = children[opened]
-                        new[opened] = -1
-                    state_flat[pair_flat] = new
-                    if restore:
-                        touched_flat.append(pair_flat)
-                        touched_nodes.append(children)
-            else:
-                # Two-phase pass, used when the edge sets might overlap (the
-                # ∃ gather must observe this round's ∀ writes) or when no
-                # workspace vouches for disjointness.
-                # ∀-gates: gather every lane's child slice into one flat
-                # (node, lane) index list and decrement with a single
-                # fancy-indexed op.  Each pair occurs at most once per round
-                # (one pop per lane, unique children per node), so plain
-                # assignment loses no update.
-                opened_f_lanes = opened_f_children = opened_f_flat = None
-                starts = f_indptr[nodes]
-                counts = f_indptr[nodes + 1] - starts
-                total = int(counts.sum())
-                if total:
-                    ends = np.cumsum(counts)
-                    flat = np.arange(total, dtype=np.intp) + np.repeat(
-                        starts - (ends - counts), counts
-                    )
-                    children = f_indices[flat]
-                    child_lanes = np.repeat(lanes, counts)
-                    pair_flat = children * stride + child_lanes
-                    remaining = state_flat[pair_flat] - 1
-                    state_flat[pair_flat] = remaining
-                    if restore:
-                        touched_flat.append(pair_flat)
-                        touched_nodes.append(children)
-                    mask = remaining == 0
-                    if mask.any():
-                        opened_f_lanes = child_lanes[mask]
-                        opened_f_children = children[mask]
-                        opened_f_flat = pair_flat[mask]
-
-                # ∃-gates: same gather; the first popped ∃-parent of a
-                # (node, lane) pair subtracts the offset, later ones see
-                # state < offset.
-                opened_e_lanes = opened_e_children = opened_e_flat = None
-                starts = e_indptr[nodes]
-                counts = e_indptr[nodes + 1] - starts
-                total = int(counts.sum())
-                if total:
-                    ends = np.cumsum(counts)
-                    flat = np.arange(total, dtype=np.intp) + np.repeat(
-                        starts - (ends - counts), counts
-                    )
-                    children = e_indices[flat]
-                    child_lanes = np.repeat(lanes, counts)
-                    pair_flat = children * stride + child_lanes
-                    current = state_flat[pair_flat]
-                    gated = current >= exists_offset
-                    if gated.any():
-                        gated_flat = pair_flat[gated]
-                        gated_children = children[gated]
-                        current = current[gated] - exists_offset
-                        state_flat[gated_flat] = current
-                        if restore:
-                            touched_flat.append(gated_flat)
-                            touched_nodes.append(gated_children)
-                        mask = current == 0
-                        if mask.any():
-                            opened_e_lanes = child_lanes[gated][mask]
-                            opened_e_children = gated_children[mask]
-                            opened_e_flat = gated_flat[mask]
-
-                # Access every (node, lane) pair whose gates both opened —
-                # per lane, ∀-children first, then ∃-children, the
-                # reference access order.
-                if opened_f_lanes is None:
-                    all_lanes, all_children, all_flat = (
-                        opened_e_lanes,
-                        opened_e_children,
-                        opened_e_flat,
-                    )
-                elif opened_e_lanes is None:
-                    all_lanes, all_children, all_flat = (
-                        opened_f_lanes,
-                        opened_f_children,
-                        opened_f_flat,
-                    )
-                else:
-                    all_lanes = np.concatenate((opened_f_lanes, opened_e_lanes))
-                    all_children = np.concatenate(
-                        (opened_f_children, opened_e_children)
-                    )
-                    all_flat = np.concatenate((opened_f_flat, opened_e_flat))
-                if all_lanes is not None:
-                    state_flat[all_flat] = -1
-
-            if all_lanes is not None and prune_blocks is not None:
-                # Per-lane layer-bound skip, after stamping (state already
-                # marks every opened pair enqueued) and before scoring —
-                # the skipped scoring rows and heap pushes are the win.
-                bounds = _einsum(
-                    "ij,ij->i",
-                    prune_mins[prune_blocks[all_children]],
-                    weights_matrix[all_lanes],
-                )
-                keep = bounds <= kth_scores[all_lanes]
-                if not keep.all():
-                    all_children = all_children[keep]
-                    all_lanes = all_lanes[keep]
-                    if not all_lanes.shape[0]:
-                        all_lanes = None
-
-            if all_lanes is not None:
-                if fast_counts:
-                    # One paired contraction scores every opened (node,
-                    # lane) pair; one bincount per side accumulates
-                    # Definition 9 counts for all lanes at once.
-                    scores = _einsum(
-                        "ij,ij->i", values[all_children], weights_matrix[all_lanes]
-                    )
-                    acc_total += np.bincount(all_lanes, minlength=n_lanes)
-                    acc_real += np.bincount(
-                        all_lanes[all_children < n_real], minlength=n_lanes
-                    )
-                    if prune_blocks is None:
-                        for lane, child, score in zip(
-                            all_lanes.tolist(),
-                            all_children.tolist(),
-                            scores.tolist(),
-                        ):
-                            heappush(heaps[lane], (score, child))
-                    else:
-                        for lane, child, score in zip(
-                            all_lanes.tolist(),
-                            all_children.tolist(),
-                            scores.tolist(),
-                        ):
-                            if child < n_real:
-                                kth_note(lane, score)
-                            heappush(heaps[lane], (score, child))
-                elif fetch_real is None:
-                    scores = _einsum(
-                        "ij,ij->i", values[all_children], weights_matrix[all_lanes]
-                    )
-                    for lane, child, score in zip(
-                        all_lanes.tolist(), all_children.tolist(), scores.tolist()
-                    ):
-                        if child < n_real:
-                            counters[lane].count_real()
-                            hook = trace_hooks[lane]
-                            if hook is not None:
-                                hook(child)
-                            if prune_blocks is not None:
-                                kth_note(lane, score)
-                        else:
-                            counters[lane].count_pseudo()
-                        heappush(heaps[lane], (score, child))
-                else:
-                    for lane, child in zip(
-                        all_lanes.tolist(), all_children.tolist()
-                    ):
-                        w = lane_weights[lane]
-                        if child < n_real:
-                            score = float(fetch_real(child) @ w)
-                            counters[lane].count_real()
-                            hook = trace_hooks[lane]
-                            if hook is not None:
-                                hook(child)
-                        else:
-                            score = score_node(values, child, w)
-                            counters[lane].count_pseudo()
-                        heappush(heaps[lane], (score, child))
-
-            active = [lane for lane in relax_lanes if heaps[lane]]
-
-        if fast_counts:
-            for lane in range(n_lanes):
-                real = int(acc_real[lane])
-                if real:
-                    counters[lane].count_real(real)
-                pseudo = int(acc_total[lane]) - real
-                if pseudo:
-                    counters[lane].count_pseudo(pseudo)
-
-        if restore and touched_flat:
-            # Put every written entry back to template state so the next
-            # batch checks out a clean matrix without a full re-copy.
-            # Duplicate indices are harmless (same template value).
-            state_flat[np.concatenate(touched_flat)] = template[
-                np.concatenate(touched_nodes)
-            ]
-    except BaseException:
-        if ws_acquired:
-            workspace._invalidate()
-        raise
-    finally:
-        if ws_acquired:
-            workspace._lock.release()
-
-    return [
-        (
-            np.asarray(answer_ids[lane], dtype=np.intp),
-            np.asarray(answer_scores[lane], dtype=np.float64),
-        )
-        for lane in range(n_lanes)
-    ]
 
 
 def process_top_k_reference(

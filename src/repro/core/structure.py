@@ -493,8 +493,8 @@ def compute_sublayer_bounds(
     and skips the per-node block gather for the whole sublayer from then
     on.  Conversely a sublayer that fails the test costs one extra small
     gather before the exact block check — the drop *set* is always
-    identical to block-only pruning, which is what keeps the batch kernel
-    (block-only) count-compatible with the solo kernel.
+    identical to block-only pruning, so the shortcut never changes
+    Definition 9 counts.
 
     ``sublayer_of`` is ``-1`` for unplaced nodes and ``sublayer_mins``
     carries the same trailing ``-inf`` sentinel row as the block table, so
@@ -637,9 +637,6 @@ class LayerStructure:
         # Sublayer-level bound table (see :func:`compute_sublayer_bounds`);
         # same eager-at-freeze / lazy-for-old-pickles contract.
         self._sublayer_bounds = sublayer_bounds
-        # Lazy "no (parent, child) pair carries both edge kinds" flag (see
-        # :meth:`edges_disjoint`); benign to race on.
-        self._edges_disjoint: bool | None = None
         # Lazily extracted ``values[static_seeds]`` block shared by every
         # query (see :meth:`seed_block`); benign to race on — all writers
         # compute the identical array.
@@ -665,7 +662,6 @@ class LayerStructure:
         # Pickles from before the layer bound table existed: recompute lazily.
         state.setdefault("_layer_bounds", None)
         state.setdefault("_sublayer_bounds", None)
-        state.setdefault("_edges_disjoint", None)
         self.__dict__.update(state)
 
     @property
@@ -801,38 +797,6 @@ class LayerStructure:
                 self.values, self.coarse_levels, self.fine_levels
             )
             self._sublayer_bounds = cached
-        return cached
-
-    def edges_disjoint(self) -> bool:
-        """True when no ``(parent, child)`` pair carries both edge kinds.
-
-        Disjoint edge sets let a kernel fuse the ∀-decrement and ∃-ungate
-        of one pop into a single gather (no node's state is written twice
-        in the round).  All four shipped algorithms produce disjoint sets;
-        the check is O(edges) and cached on the structure so both the
-        batch and solo workspaces share one verdict.
-        """
-        cached = self._edges_disjoint
-        if cached is None:
-            n = np.int64(self.n_nodes)
-            f_keys = (
-                np.repeat(
-                    np.arange(self.n_nodes, dtype=np.int64),
-                    np.diff(self.forall_indptr),
-                )
-                * n
-                + self.forall_indices
-            )
-            e_keys = (
-                np.repeat(
-                    np.arange(self.n_nodes, dtype=np.int64),
-                    np.diff(self.exists_indptr),
-                )
-                * n
-                + self.exists_indices
-            )
-            cached = bool(np.intersect1d(f_keys, e_keys).shape[0] == 0)
-            self._edges_disjoint = cached
         return cached
 
     def edge_counts(self) -> dict[str, int]:

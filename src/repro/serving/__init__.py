@@ -3,11 +3,11 @@
 The ROADMAP's north star is a production-scale serving system; this package
 is its substrate.  A :class:`QueryEngine` fronts one built index and serves
 query traffic with an LRU result cache (keyed so mutations can never serve
-stale answers), batched execution that amortizes per-query numpy overhead,
-a thread-pool path over the frozen read-only layer structure, and a metrics
+stale answers), a ``query_batch`` entry point that validates a whole weight
+matrix up front and serves its rows through the cache, a thread-pool path over the frozen read-only layer structure, and a metrics
 registry (latency percentiles, Definition 9 cost, hit rate, queue depth,
 SLO violations).  :class:`AsyncGateway` sits in front of either engine and
-coalesces concurrent single-query traffic into batch-kernel lanes (flush
+coalesces concurrent single-query traffic into ``query_batch`` calls (flush
 at B or the window deadline, whichever first) with per-tenant fair-share
 scheduling and admission control — see :mod:`repro.serving.gateway`.
 

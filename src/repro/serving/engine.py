@@ -10,15 +10,10 @@ traffic the way a deployed system would:
   :mod:`repro.serving.cache`); a hit returns the stored answer with *zero*
   tuple evaluations and the version key guarantees freshness across
   inserts/deletes and rebuilds;
-* **batching** — :meth:`query_batch` normalizes the whole weight matrix up
-  front, deduplicates repeated weight vectors through the cache, groups the
-  remaining rows by effective k, and feeds each group through the
-  lane-parallel :func:`~repro.core.query.process_top_k_batch` kernel, which
-  walks the gate graph once per round for *all* rows of the group and
-  scores every lane's opened children in one batched contraction.  Batched
-  answers are byte-identical to sequential
-  :func:`~repro.core.query.process_top_k` calls (the batch kernel's
-  bitwise-identity contract);
+* **batching** — :meth:`query_batch` validates and normalizes the whole
+  weight matrix up front, then serves the rows in order through the cached
+  solo path, so repeated weight vectors are computed once and every answer
+  is byte-identical to a sequential :meth:`query` call;
 * **concurrency** — :meth:`query_many` fans queries out over a thread pool.
   The frozen :class:`~repro.core.structure.LayerStructure` is read-only by
   contract and every query owns its
@@ -41,10 +36,8 @@ from repro.core.base import TopKIndex, TopKResult
 from repro.core.dispatch import VALID_KERNELS, get_jit_kernel, select_kernel
 from repro.core.native import NativeWorkspace, build_info
 from repro.core.query import (
-    BatchWorkspace,
     QueryWorkspace,
     process_top_k,
-    process_top_k_batch,
     process_top_k_reference,
 )
 from repro.exceptions import InvalidQueryError, InvalidWeightError
@@ -105,42 +98,36 @@ class QueryEngine:
     latency_window:
         Sliding-window size for latency percentiles.
     kernel:
-        ``"auto"`` (default) dispatches per call through
-        :func:`~repro.core.dispatch.select_kernel`: the lane-parallel
-        :func:`~repro.core.query.process_top_k_batch` for wide enough
-        cache-miss groups, the per-node
-        :func:`~repro.core.query.process_top_k_reference` on small
-        low-dimensional structures (where whole-slice numpy overhead loses
-        to the python loop), and the vectorized
-        :func:`~repro.core.query.process_top_k` otherwise — and, when the
-        compiled C walker is available (built on first use; see
-        :mod:`repro.core.native`), the ``"native"`` kernel for every solo
-        and narrow-batch miss.  ``"csr"``, ``"reference"``, and
-        ``"batch"`` force one kernel unconditionally.  Every kernel
-        returns bitwise-identical answers, so this switch only changes
-        wall-clock behaviour — it exists for A/B latency measurements
-        (``repro-topk perf-bench``) and for ruling individual kernels in
-        or out when debugging.  ``"native"`` (alias ``"jit"``) forces the
-        compiled walker and raises
+        ``"auto"`` (default) dispatches every cache miss through
+        :func:`~repro.core.dispatch.select_kernel`: the compiled C walker
+        (``"native"``, built on first use; see :mod:`repro.core.native`)
+        when it is loadable for the structure's shape, else the python
+        :func:`~repro.core.query.process_top_k` (``"csr"``).
+        ``"csr"`` and ``"reference"`` (the per-node oracle
+        :func:`~repro.core.query.process_top_k_reference`) force one
+        kernel unconditionally.  Every kernel returns bitwise-identical
+        answers, so this switch only changes wall-clock behaviour — it
+        exists for A/B latency measurements (``repro-topk perf-bench``)
+        and for ruling individual kernels in or out when debugging.
+        ``"native"`` forces the compiled walker and raises
         :class:`~repro.exceptions.KernelUnavailableError` when it cannot
         be built (no C toolchain) and nothing else was registered through
         :func:`~repro.core.dispatch.register_jit_kernel`; ``auto`` only
         selects it when it is actually loadable, so a compiler-less host
-        serves every query through the python kernels with one logged
-        warning and no errors.
+        serves every query through ``csr`` with one logged warning and no
+        errors.
     build_parallel:
         Worker count for (re)builds the engine triggers: applied to the
         fronted index's ``parallel`` knob before the initial build and for
         every index that exposes one.  Parallel builds are array-equal to
         sequential ones, so this only changes build wall-clock.
     prune:
-        Enable layer-bound skipping in the CSR and batch kernels (see
+        Enable layer-bound skipping in the native and CSR kernels (see
         :func:`~repro.core.query.process_top_k`): children whose bound-table
         score bound already beats the running k-th score are dropped before
         they are scored.  Answers stay bitwise identical; only the access
-        counts shrink.  When the dispatcher would pick the ``reference``
-        kernel (which has no pruning path), it is promoted to ``csr`` so
-        the skip actually runs.
+        counts shrink.  A forced ``reference`` kernel (which has no
+        pruning path) is promoted to ``csr`` so the skip actually runs.
     """
 
     def __init__(
@@ -166,11 +153,9 @@ class QueryEngine:
         self.index = index
         self.kernel = kernel
         self.prune = bool(prune)
-        # Reusable (n_nodes, B) gate-state scratch for the batch kernel;
-        # owned by the engine because the frozen structure is immutable by
-        # contract and cannot cache mutable state.
-        self._workspace = BatchWorkspace()
-        # Reusable solo gate-state scratch for the CSR kernel (undo-log
+        # Reusable gate-state scratch for the CSR kernel, owned by the
+        # engine because the frozen structure is immutable by contract
+        # and cannot cache mutable state (undo-log
         # checkout/reset; concurrent query_many threads that lose the
         # non-blocking checkout fall back to a fresh allocation and are
         # counted — see stats()["workspace_fallbacks"]).
@@ -250,18 +235,17 @@ class QueryEngine:
             return self._serve(w, k, record)
 
     def query_batch(self, weights_matrix: np.ndarray, k) -> list[TopKResult]:
-        """Serve one query per row of ``weights_matrix``, amortizing overhead.
+        """Serve one query per row of ``weights_matrix``.
 
         ``k`` is a scalar applied to every row, or a sequence with one
-        retrieval size per row.  The whole matrix is validated and
-        normalized up front; repeated weight vectors are computed once and
-        answered from the cache.  The remaining cache misses are grouped by
-        effective k (k clamped to the relation size — the unit the cache
-        keys and the batch kernel share) and each group runs through one
-        lane-parallel :func:`~repro.core.query.process_top_k_batch` call
-        when the dispatcher selects the batch kernel, walking the gate
-        graph once per round for the whole group.  Results are
-        byte-identical to issuing the queries one at a time.
+        retrieval size per row.  The whole matrix and every k are
+        validated and normalized before any query runs, so one malformed
+        row fails the call without side effects.  The rows are then
+        served in order through the cached solo path: a repeated weight
+        vector is computed once and its later rows hit the cache, and
+        every answer is byte-identical to issuing the queries one at a
+        time.  Each call is recorded as one batch (``metrics.batches``,
+        ``batch_rows`` and the amortized per-row latency).
         """
         matrix = np.asarray(weights_matrix, dtype=np.float64)
         if matrix.ndim == 1:
@@ -276,132 +260,24 @@ class QueryEngine:
         # serve the wrong retrieval size instead of raising.
         ks_input = np.asarray(k)
         if ks_input.ndim == 0:
-            ks = np.full(n_rows, validate_k(ks_input[()]), dtype=np.int64)
+            ks = [validate_k(ks_input[()])] * n_rows
         elif ks_input.shape != (n_rows,):
             raise InvalidQueryError(
                 f"per-row k must have one entry per weight row: "
                 f"got {ks_input.shape} for {n_rows} rows"
             )
         else:
-            ks = np.asarray(
-                [validate_k(value) for value in ks_input], dtype=np.int64
-            )
+            ks = [validate_k(value) for value in ks_input]
         d = self.d
         # Fail fast: every row is validated/normalized before any query runs.
         normalized = [normalize_weights(matrix[row], d) for row in range(n_rows)]
-        if not n_rows:
-            return []
-        version = self.version
-        if version != self._seen_version:
-            self.cache.prune(version)
-            self._seen_version = version
-        n = self.n
-        cache_enabled = self.cache.capacity > 0
-        results: list[TopKResult | None] = [None] * n_rows
-        # First pass: answer cache hits immediately, defer duplicates of an
-        # in-flight key (first occurrence pays, the duplicate hits after the
-        # group is computed), and collect the rows that need a traversal.
-        pending_keys: set = set()
-        to_compute: list[tuple[int, tuple, np.ndarray, int]] = []
-        deferred: list[tuple[int, tuple, int]] = []
-        for row, w in enumerate(normalized):
-            effective_k = min(int(ks[row]), n)
-            key = self.cache.make_key(w, effective_k, version)
-            if cache_enabled and key in pending_keys:
-                deferred.append((row, key, effective_k))
-                continue
-            start = time.perf_counter()
-            cached = self.cache.get(key)
-            if cached is not None:
-                self.metrics.record_external(
-                    cost=0,
-                    seconds=time.perf_counter() - start,
-                    hit=True,
-                    batched=True,
-                )
-                results[row] = TopKResult(
-                    ids=cached[0], scores=cached[1], counter=AccessCounter()
-                )
-            else:
-                pending_keys.add(key)
-                to_compute.append((row, key, w, effective_k))
-        # Group misses by effective k and run each group through the
-        # dispatched kernel — fused when the dispatcher picks "batch".
-        groups: dict[int, list[tuple[int, tuple, np.ndarray, int]]] = {}
-        for item in to_compute:
-            groups.setdefault(item[3], []).append(item)
-        structure = getattr(self.index, "structure", None)
-        batchable = isinstance(self.index, TopKIndex) and structure is not None
-        for effective_k, group in groups.items():
-            width = len(group)
-            kernel = self.kernel
-            if kernel == "auto":
-                kernel = (
-                    select_kernel(structure, batch_width=width, prune=self.prune)
-                    if batchable
-                    else "csr"
-                )
-            if batchable and kernel == "batch":
-                lanes = np.ascontiguousarray(
-                    np.stack([item[2] for item in group])
-                )
-                counters = [AccessCounter() for _ in group]
-                self.metrics.record_kernel("batch", width)
-                start = time.perf_counter()
-                outputs = process_top_k_batch(
-                    structure,
-                    lanes,
-                    effective_k,
-                    counters,
-                    workspace=self._workspace,
-                    prune=self.prune,
-                )
-                elapsed = time.perf_counter() - start
-                self.metrics.record_batch(width, elapsed)
-                share = elapsed / width
-                for (row, key, _w, _ek), counter, (ids, scores) in zip(
-                    group, counters, outputs
-                ):
-                    self.cache.put(key, ids, scores)
-                    self.metrics.record_external(
-                        cost=counter.total, seconds=share, hit=False, batched=True
-                    )
-                    results[row] = TopKResult(
-                        ids=ids, scores=scores, counter=counter
-                    )
-            else:
-                for row, key, w, _ek in group:
-                    with self.metrics.track() as record:
-                        record.batched = True
-                        counter = AccessCounter()
-                        ids, scores = self._execute(w, effective_k, counter)
-                        self.cache.put(key, ids, scores)
-                        record.cost = counter.total
-                        results[row] = TopKResult(
-                            ids=ids, scores=scores, counter=counter
-                        )
-        # Duplicates of computed rows: now cache hits (unless the entry was
-        # already evicted by a tiny cache, in which case compute singly —
-        # exactly what the sequential loop would have done).
-        for row, key, effective_k in deferred:
+        start = time.perf_counter()
+        results = []
+        for w, row_k in zip(normalized, ks):
             with self.metrics.track() as record:
                 record.batched = True
-                cached = self.cache.get(key)
-                if cached is not None:
-                    record.hit = True
-                    results[row] = TopKResult(
-                        ids=cached[0], scores=cached[1], counter=AccessCounter()
-                    )
-                else:
-                    counter = AccessCounter()
-                    ids, scores = self._execute(
-                        normalized[row], effective_k, counter
-                    )
-                    self.cache.put(key, ids, scores)
-                    record.cost = counter.total
-                    results[row] = TopKResult(
-                        ids=ids, scores=scores, counter=counter
-                    )
+                results.append(self._serve(w, row_k, record))
+        self.metrics.record_batch(n_rows, time.perf_counter() - start)
         return results
 
     def query_many(
@@ -470,8 +346,8 @@ class QueryEngine:
                 # the same answers whichever kernel runs).
                 kernel = self.kernel
                 if kernel == "auto":
-                    kernel = select_kernel(structure, prune=self.prune)
-                if kernel in ("native", "jit"):
+                    kernel = select_kernel(structure)
+                if kernel == "native":
                     # Compiled walker: the bundled C kernel auto-registers
                     # on first demand (building its .so if needed); an
                     # explicit request on a host without a toolchain
@@ -493,19 +369,6 @@ class QueryEngine:
                     # The reference kernel has no pruning path; the CSR
                     # kernel is bitwise identical, so promote when the
                     # frozen bound table makes pruning worthwhile.
-                    kernel = "csr"
-                if kernel == "batch":
-                    # Forced batch kernel on a single query: one lane.
-                    self.metrics.record_kernel("batch")
-                    outputs = process_top_k_batch(
-                        structure,
-                        np.asarray(w, dtype=np.float64)[None, :],
-                        k,
-                        [counter],
-                        workspace=self._workspace,
-                        prune=self.prune,
-                    )
-                    return outputs[0]
                 self.metrics.record_kernel("csr")
                 return process_top_k(
                     structure,

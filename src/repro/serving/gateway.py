@@ -1,13 +1,11 @@
 """Asyncio serving gateway: dynamic batching over the query engines.
 
-The fused multi-query batch kernel (:mod:`repro.core.query`) pays off most
-when its lanes are full, but production traffic arrives as concurrent
-*single* queries — nobody hands the engine a pre-assembled weight matrix.
-:class:`AsyncGateway` closes that gap: concurrent ``await gateway.query(w,
-k)`` calls are coalesced into batch-kernel lanes under a flush window
-("flush at B=32 or 2 ms, whichever first"), the way PREFER-style view
-servers and threshold-algorithm pipelines amortize per-request overhead
-across a request stream.
+Production traffic arrives as concurrent *single* queries — nobody hands
+the engine a pre-assembled weight matrix.  :class:`AsyncGateway` turns
+concurrent ``await gateway.query(w, k)`` calls into ``query_batch`` calls
+under a flush window ("flush at B=32 or 2 ms, whichever first"), the way
+PREFER-style view servers and threshold-algorithm pipelines amortize
+per-request overhead across a request stream.
 
 Coalescing
 ----------
@@ -42,8 +40,8 @@ resolution, on the gateway's clock) into its tenant's
 bump the registry's ``slo_violations`` counter.  :meth:`AsyncGateway.stats`
 reports per-tenant snapshots plus the pooled roll-up
 (:meth:`MetricsRegistry.aggregate` — union percentiles, pooled
-throughput), and gateway-level batch occupancy (mean lanes per flush, the
-figure that shows coalescing actually engages the batch kernel).
+throughput), and gateway-level batch occupancy (mean rows per flush, the
+figure that shows coalescing actually groups requests).
 
 Determinism under test
 ----------------------
@@ -92,7 +90,7 @@ class _Pending:
 
 
 class AsyncGateway:
-    """Coalesce concurrent single-query traffic into batch-kernel lanes.
+    """Coalesce concurrent single-query traffic into ``query_batch`` calls.
 
     Parameters
     ----------
@@ -340,9 +338,8 @@ class AsyncGateway:
     async def _dispatch(self, batch: list[_Pending]) -> None:
         """Serve one flushed batch through ``engine.query_batch``.
 
-        Rows are grouped by k (the unit both engines batch on; the
-        cluster engine only takes a scalar k per call) — mixed-k flushes
-        still fill lanes per group.  Any engine failure resolves every
+        Rows are grouped by k (the cluster engine only takes a scalar k
+        per call), one ``query_batch`` call per group.  Any engine failure resolves every
         waiter with the exception instead of stranding them.
         """
         groups: dict[int, list[_Pending]] = {}
@@ -408,8 +405,8 @@ class AsyncGateway:
         ``rollup`` pools every tenant registry through
         :meth:`MetricsRegistry.aggregate` (union percentiles, pooled
         ``throughput_qps``, summed ``slo_violations``);
-        ``batch_occupancy`` is the mean number of lanes per flush — the
-        number that shows coalescing actually engages the batch kernel.
+        ``batch_occupancy`` is the mean number of rows per flush — the
+        number that shows coalescing actually groups requests.
         """
         batch = self.metrics.as_dict()
         registries = list(self._tenant_metrics.values())

@@ -66,17 +66,17 @@ class MetricsRegistry:
         #: Batch-size histogram: power-of-two bucket lower bound -> count
         #: (a batch of 12 rows lands in bucket 8).
         self.batch_size_hist: dict[int, int] = {}
-        #: Per-kernel dispatch counters: kernel name ("reference", "csr",
-        #: "batch", "native") -> queries served by that kernel.  Cache
+        #: Per-kernel dispatch counters: kernel name ("native", "csr",
+        #: "reference") -> queries served by that kernel.  Cache
         #: hits touch no kernel and are not counted here, so the sum
         #: attributes exactly the traversal work (bench runs read these
         #: to attribute wins to the kernel that produced them).
         self.kernel_counts: dict[str, int] = {}
         self.started_at = time.perf_counter()
         self._latency = LatencyWindow(latency_window)
-        #: Amortized per-query latency of batched execution (seconds/row,
-        #: one sample per batch) — the figure that shows what batching
-        #: buys over the per-query latency window above.
+        #: Amortized per-query latency of batched calls (seconds/row, one
+        #: sample per batch) — the figure that shows what batching buys
+        #: over the per-query latency window above.
         self._batch_amortized = LatencyWindow(latency_window)
 
     @contextmanager
@@ -122,9 +122,9 @@ class MetricsRegistry:
         The cluster coordinator's threshold merge drives shard cursors
         directly (round-robin, interleaved across shards), so a shard's
         share of the work has no contiguous wall-clock span to wrap in
-        :meth:`track`; the engine's fused ``query_batch`` path likewise
-        serves many rows in one kernel call and attributes each row its
-        amortized share of the batch's wall clock.  This records one
+        :meth:`track`; the coordinator's batched scatter likewise serves
+        many rows in one call and attributes each row its amortized share
+        of the batch's wall clock.  This records one
         served query's cost (and optionally its latency share), under
         the same single lock.
         """
@@ -144,28 +144,25 @@ class MetricsRegistry:
             if seconds is not None:
                 self._latency.record(seconds)
 
-    def record_kernel(self, name: str, count: int = 1) -> None:
-        """Attribute ``count`` served queries to kernel ``name``.
+    def record_kernel(self, name: str) -> None:
+        """Attribute one served query to kernel ``name``.
 
-        Called by the engine on every traversal (never on cache hits):
-        once per query on the solo paths, once per group with the lane
-        count on the fused batch path.  Surfaced as ``kernel_<name>``
-        in :meth:`as_dict` and summed by :meth:`aggregate`.
+        Called by the engine once per traversal (never on cache hits).
+        Surfaced as ``kernel_<name>`` in :meth:`as_dict` and summed by
+        :meth:`aggregate`.
         """
-        if count <= 0:
-            return
         with self._lock:
-            self.kernel_counts[name] = self.kernel_counts.get(name, 0) + count
+            self.kernel_counts[name] = self.kernel_counts.get(name, 0) + 1
 
     def record_batch(self, size: int, seconds: float | None = None) -> None:
-        """Record one fused batch-kernel invocation covering ``size`` rows.
+        """Record one batched serving call covering ``size`` rows.
 
         Feeds the batch-size histogram (power-of-two buckets) and, when
         ``seconds`` is given, the amortized per-query latency window with
         one ``seconds / size`` sample.  Per-row counters are *not*
         touched here — each row still goes through :meth:`track` or
         :meth:`record_external` — so ``batch_rows`` vs ``queries``
-        separates kernel invocations from served queries.
+        separates batched calls from served queries.
         """
         if size <= 0:
             return

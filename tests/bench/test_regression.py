@@ -15,7 +15,9 @@ from repro.bench.regression import (
 )
 
 
-def make_report(*, n=10_000, auto_p50=0.10, csr_p50=0.10, qps=5000.0):
+def make_report(
+    *, n=10_000, auto_p50=0.10, csr_p50=0.10, qps=5000.0, speedup_vs_loop=1.0
+):
     timing = lambda p50: {"p50_ms": p50, "p95_ms": p50 * 2, "mean_ms": p50}  # noqa: E731
     return {
         "suite": "wallclock",
@@ -40,7 +42,12 @@ def make_report(*, n=10_000, auto_p50=0.10, csr_p50=0.10, qps=5000.0):
                     "auto": timing(auto_p50),
                 },
                 "batch": [
-                    {"B": 8, "qps": qps, "ms_per_query": 1000.0 / qps, "speedup_vs_csr": 2.0}
+                    {
+                        "B": 8,
+                        "qps": qps,
+                        "ms_per_query": 1000.0 / qps,
+                        "speedup_vs_loop": speedup_vs_loop,
+                    }
                 ],
             }
         ],
@@ -100,6 +107,26 @@ def test_no_overlap_falls_back_to_invariants():
     smoke_nobatch["cells"][0]["batch"] = []
     failures = check_query_regression(smoke_nobatch, baseline)
     assert any("batch sweep missing" in f for f in failures)
+
+
+def test_batch_slower_than_loop_fails():
+    """A B=8 row 3x slower than the per-query loop on the same engine is a
+    mis-dispatch at that width, whatever the baseline says — the
+    within-run invariant catches it even when every matched cell passes."""
+    report = make_report(qps=1000.0 / 0.3)  # 0.3ms/query
+    slow = make_report(qps=1000.0 / 0.3, speedup_vs_loop=1.0 / 3.0)
+    failures = check_query_regression(slow, report)
+    assert any("batch B=8" in f and "per-query loop" in f for f in failures)
+    # Within tolerance + noise floor of the loop: passes.
+    ok = make_report(qps=1000.0 / 0.3, speedup_vs_loop=0.85)
+    assert check_query_regression(ok, report) == []
+    # A fresh report without the loop comparison cannot pass the gate,
+    # though it still loads as a baseline.
+    legacy = copy.deepcopy(report)
+    del legacy["cells"][0]["batch"][0]["speedup_vs_loop"]
+    assert check_query_regression(report, legacy) == []
+    failures = check_query_regression(legacy, report)
+    assert any("speedup_vs_loop" in f for f in failures)
 
 
 def test_missing_crosscheck_marker_rejected():

@@ -1,26 +1,32 @@
-"""Auto-kernel dispatch: pin the decision on both sides of each threshold.
+"""Auto-kernel dispatch: ``native`` when the compiled walker is usable for
+the shape, else ``csr`` — whatever the structure size or batch width.
 
-The native compiled kernel, when loadable, wins every solo cell it
-supports, so ``select_kernel`` consults availability first.  The python
-crossover tests below therefore run under the ``no_native`` fixture,
-which simulates a host without a C toolchain — that is exactly the
-environment whose dispatch decisions they pin.
+The shape gates (d <= NATIVE_DISPATCH_MAX_DIM, n <= NATIVE_DISPATCH_MAX_NODES)
+are pinned on both sides under the ``native_available`` fixture, which
+simulates a loadable walker without building one; the compiler-less
+fallback runs for real under ``REPRO_NATIVE_CC=none`` with a cleared
+kernel slot.
 """
 
+import numpy as np
 import pytest
 
-from repro.core import DLIndex
+from repro.core import DLIndex, DLPlusIndex
 from repro.core import dispatch
 from repro.core.dispatch import (
-    AUTO_BATCH_MIN_LANES,
-    AUTO_SMALL_STRUCTURE_DIM,
-    AUTO_SMALL_STRUCTURE_NODES,
     NATIVE_DISPATCH_MAX_DIM,
     NATIVE_DISPATCH_MAX_NODES,
     VALID_KERNELS,
+    register_jit_kernel,
     select_kernel,
 )
+from repro.core.query import process_top_k, process_top_k_reference
 from repro.data import generate
+from repro.relation import normalize_weights
+from repro.serving import QueryEngine
+from repro.stats import AccessCounter
+
+BATCH_WIDTHS = (1, 8, 128)
 
 
 @pytest.fixture
@@ -41,43 +47,43 @@ def native_available(monkeypatch):
     )
 
 
-def test_small_structure_dispatches_reference_both_sides(no_native):
-    """At d=2 the reference kernel wins below the node threshold and the
-    CSR kernel wins above it — pin the decision one node either side."""
-    at = select_kernel(n_nodes=AUTO_SMALL_STRUCTURE_NODES, d=2)
-    above = select_kernel(n_nodes=AUTO_SMALL_STRUCTURE_NODES + 1, d=2)
-    assert at == "reference"
-    assert above == "csr"
+def _serve_every_width(engine, d: int) -> None:
+    """Push batches of every width through ``engine`` and check each row
+    bitwise (ids, scores, Definition 9 counts) against the oracle."""
+    rng = np.random.default_rng(d)
+    structure = engine.index.structure
+    for width in BATCH_WIDTHS:
+        weights = rng.dirichlet(np.ones(d), size=width)
+        for w, result in zip(weights, engine.query_batch(weights, 5)):
+            counter = AccessCounter()
+            ids, scores = process_top_k_reference(
+                structure, normalize_weights(w, d), 5, counter
+            )
+            assert result.ids.tobytes() == ids.tobytes()
+            assert result.scores.tobytes() == scores.tobytes()
+            assert (result.counter.real, result.counter.pseudo) == (
+                counter.real,
+                counter.pseudo,
+            )
 
 
-def test_dimension_threshold_both_sides(no_native):
-    """The small-structure exception only applies at d<=2: a 10k-node d=3
-    structure already pays off the vectorized einsum."""
-    small_n = AUTO_SMALL_STRUCTURE_NODES // 2
-    assert select_kernel(n_nodes=small_n, d=AUTO_SMALL_STRUCTURE_DIM) == "reference"
-    assert select_kernel(n_nodes=small_n, d=AUTO_SMALL_STRUCTURE_DIM + 1) == "csr"
+def test_dimension_threshold_both_sides(native_available):
+    """The one dimension threshold left is the native contract's ceiling:
+    native at d = NATIVE_DISPATCH_MAX_DIM, csr one dimension above."""
+    for n in (100, 10**6):
+        assert select_kernel(n_nodes=n, d=NATIVE_DISPATCH_MAX_DIM) == "native"
+        assert select_kernel(n_nodes=n, d=NATIVE_DISPATCH_MAX_DIM + 1) == "csr"
 
 
-def test_batch_width_threshold_both_sides(no_native):
-    """batch_width >= AUTO_BATCH_MIN_LANES dispatches the lane-parallel
-    kernel regardless of structure size; one lane fewer falls back to the
-    single-query decision."""
-    kw = dict(n_nodes=1000, d=2)
-    assert select_kernel(batch_width=AUTO_BATCH_MIN_LANES, **kw) == "batch"
-    assert select_kernel(batch_width=AUTO_BATCH_MIN_LANES - 1, **kw) == "reference"
-    kw = dict(n_nodes=10**6, d=4)
-    assert select_kernel(batch_width=AUTO_BATCH_MIN_LANES, **kw) == "batch"
-    assert select_kernel(batch_width=AUTO_BATCH_MIN_LANES - 1, **kw) == "csr"
-
-
-def test_structure_argument_supplies_shape(no_native):
+def test_structure_argument_supplies_shape(no_native, monkeypatch):
     relation = generate("IND", 200, 3, seed=3)
     structure = DLIndex(relation).build().structure
-    assert select_kernel(structure) == "csr"  # d=3 > small-structure dim
-    assert select_kernel(structure, batch_width=AUTO_BATCH_MIN_LANES) == "batch"
+    assert select_kernel(structure) == "csr"
     assert select_kernel(structure) == select_kernel(
         n_nodes=structure.n_nodes, d=structure.values.shape[1]
     )
+    monkeypatch.setattr(dispatch, "native_kernel_usable", lambda n, d: True)
+    assert select_kernel(structure) == "native"
 
 
 def test_missing_shape_rejected():
@@ -90,68 +96,65 @@ def test_missing_shape_rejected():
 
 
 def test_valid_kernels_registry(no_native):
-    assert set(VALID_KERNELS) == {"auto", "reference", "csr", "batch", "native", "jit"}
-    # select_kernel only ever returns concrete runnable kernels — never
-    # "auto", and never the "jit" alias (it resolves to "native").
-    for n in (100, AUTO_SMALL_STRUCTURE_NODES + 1):
-        for d in (2, 4):
-            for width in (1, AUTO_BATCH_MIN_LANES):
-                for prune in (False, True):
-                    for has_bounds in (False, True):
-                        picked = select_kernel(
-                            n_nodes=n,
-                            d=d,
-                            batch_width=width,
-                            prune=prune,
-                            has_bounds=has_bounds,
-                        )
-                        assert picked in {"reference", "csr", "batch"}
-
-
-def test_prune_steers_small_structures_to_csr_only_with_bounds(no_native):
-    """prune=True flips the small/low-d cell to csr — but only when the
-    structure actually carries a bound table; without bounds the caller
-    runs unpruned and the reference kernel keeps its win."""
-    kw = dict(n_nodes=AUTO_SMALL_STRUCTURE_NODES, d=2)
-    assert select_kernel(**kw) == "reference"
-    assert select_kernel(prune=True, has_bounds=True, **kw) == "csr"
-    assert select_kernel(prune=True, has_bounds=False, **kw) == "reference"
-    assert select_kernel(prune=False, has_bounds=True, **kw) == "reference"
-
-
-def test_structure_supplies_has_bounds(no_native):
-    """A built structure's own has_layer_bounds feeds the prune decision;
-    an explicit has_bounds= overrides it."""
-    relation = generate("IND", 200, 2, seed=4)
-    structure = DLIndex(relation).build().structure
-    assert structure.has_layer_bounds
-    assert select_kernel(structure) == "reference"
-    assert select_kernel(structure, prune=True) == "csr"
-    assert select_kernel(structure, prune=True, has_bounds=False) == "reference"
+    assert VALID_KERNELS == ("auto", "reference", "csr", "native")
+    # select_kernel only ever returns a concrete kernel auto may run —
+    # never "auto", and never the "reference" oracle.
+    for n in (100, 40_000, 10**6):
+        for d in (1, 2, 4, NATIVE_DISPATCH_MAX_DIM + 1):
+            assert select_kernel(n_nodes=n, d=d) == "csr"
 
 
 def test_native_wins_every_solo_cell_when_available(native_available):
-    """With the compiled walker loadable, availability is the only solo
-    crossover: every in-contract shape dispatches native, regardless of
-    the python reference/csr thresholds."""
-    for n in (100, AUTO_SMALL_STRUCTURE_NODES, 10**6):
-        for d in (2, 4, NATIVE_DISPATCH_MAX_DIM):
-            for prune in (False, True):
-                assert select_kernel(n_nodes=n, d=d, prune=prune,
-                                     has_bounds=True) == "native"
+    """With the compiled walker loadable, availability is the only
+    crossover: every in-contract shape dispatches native."""
+    for n in (100, 32768, 10**6, NATIVE_DISPATCH_MAX_NODES):
+        for d in range(1, NATIVE_DISPATCH_MAX_DIM + 1):
+            assert select_kernel(n_nodes=n, d=d) == "native"
 
 
-def test_batch_width_beats_native(native_available):
-    """The lane-parallel batch kernel still owns wide batches — native
-    is a solo/low-batch kernel only."""
-    kw = dict(n_nodes=10**6, d=4)
-    assert select_kernel(batch_width=AUTO_BATCH_MIN_LANES, **kw) == "batch"
-    assert select_kernel(batch_width=AUTO_BATCH_MIN_LANES - 1, **kw) == "native"
+def test_native_at_every_batch_width(monkeypatch):
+    """A loadable walker serves every query_batch row at widths 1, 8 and
+    128 — no width hands a group to another kernel.  A registered walker
+    that delegates to the csr kernel stands in for the C build, so the
+    rule is checked on any host."""
+
+    def walker(structure, weights, k, counter, prune=False, workspace=None):
+        return process_top_k(structure, weights, k, counter, prune=prune)
+
+    monkeypatch.setattr(dispatch, "_JIT_KERNEL", walker)
+    engine = QueryEngine(
+        DLPlusIndex(generate("ANT", 300, 3, seed=5)).build(), cache_size=0
+    )
+    _serve_every_width(engine, 3)
+    stats = engine.stats()
+    assert stats["kernel_native"] == float(sum(BATCH_WIDTHS))
+    assert "kernel_csr" not in stats and "kernel_batch" not in stats
+
+
+def test_compiler_masked_dispatches_csr_everywhere(
+    isolated_native_state, monkeypatch, tmp_path
+):
+    """No compiler and an empty kernel slot: csr at every n, every
+    d <= 7 and every batch width, bitwise against the oracle."""
+    monkeypatch.setenv("REPRO_NATIVE_CC", "none")
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "cache"))
+    register_jit_kernel(None)
+    for n in (100, 32768, 10**6):
+        for d in range(1, NATIVE_DISPATCH_MAX_DIM + 1):
+            assert select_kernel(n_nodes=n, d=d) == "csr"
+    for d in (2, 4):
+        engine = QueryEngine(
+            DLIndex(generate("IND", 300, d, seed=d)).build(), cache_size=0
+        )
+        _serve_every_width(engine, d)
+        stats = engine.stats()
+        assert stats["kernel_csr"] == float(sum(BATCH_WIDTHS))
+        assert "kernel_native" not in stats and "kernel_batch" not in stats
 
 
 def test_native_shape_gates(native_available):
-    """Shapes outside the bitwise contract fall back to the python
-    crossovers even when the library is loadable."""
+    """Shapes outside the bitwise contract fall back to csr even when
+    the library is loadable."""
     assert select_kernel(n_nodes=10**5, d=NATIVE_DISPATCH_MAX_DIM) == "native"
     assert select_kernel(n_nodes=10**5, d=NATIVE_DISPATCH_MAX_DIM + 1) == "csr"
     assert select_kernel(n_nodes=NATIVE_DISPATCH_MAX_NODES, d=4) == "native"
@@ -191,9 +194,9 @@ def test_native_kernel_usable_gates_shape_before_probe(monkeypatch):
 
 
 def test_jit_slot_guarded(monkeypatch):
-    """kernel='jit'/'native' raises a clear error when the compiled
-    walker cannot load and nothing is registered; a registered walker is
-    returned; auto never returns the 'jit' alias."""
+    """kernel='native' raises a clear error when the compiled walker
+    cannot load and nothing is registered; a registered walker is
+    returned."""
     from repro.core.dispatch import get_jit_kernel
     from repro.exceptions import KernelUnavailableError
 
@@ -207,9 +210,7 @@ def test_jit_slot_guarded(monkeypatch):
     fake = lambda *a, **kw: sentinel  # noqa: E731
     monkeypatch.setattr(dispatch, "_JIT_KERNEL", fake)
     assert get_jit_kernel() is fake
-    # select_kernel resolves to "native", never the "jit" alias
-    for width in (1, AUTO_BATCH_MIN_LANES):
-        assert select_kernel(n_nodes=10**6, d=4, batch_width=width) != "jit"
+    assert select_kernel(n_nodes=10**6, d=4) == "native"
     monkeypatch.setattr(dispatch, "_JIT_KERNEL", None)
     with pytest.raises(KernelUnavailableError):
         get_jit_kernel()
@@ -218,8 +219,6 @@ def test_jit_slot_guarded(monkeypatch):
 def test_register_none_rearms_autoload():
     """Clearing the slot re-arms the one-shot native autoload probe, so
     a later get_jit_kernel() may self-register the bundled walker."""
-    from repro.core.dispatch import register_jit_kernel
-
     prev_kernel = dispatch._JIT_KERNEL
     prev_flag = dispatch._AUTOLOAD_ATTEMPTED
     try:

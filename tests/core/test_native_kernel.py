@@ -219,19 +219,6 @@ def test_trace_hook_delegates_to_python():
     assert len(traced.trace) == traced.real == plain.real
 
 
-@pytest.fixture
-def isolated_native_state(monkeypatch):
-    """Snapshot + clear every module-global the load path mutates, so a
-    test can simulate a fresh process; restores the real state after."""
-    nk = native_kernel_mod
-    snapshot = (nk._ffi, nk._lib, nk._status, nk._detail, nk._warned)
-    monkeypatch.setattr(dispatch, "_JIT_KERNEL", None)
-    monkeypatch.setattr(dispatch, "_AUTOLOAD_ATTEMPTED", False)
-    nk._reset_for_tests()
-    yield nk
-    nk._ffi, nk._lib, nk._status, nk._detail, nk._warned = snapshot
-
-
 def test_no_compiler_fallback_matrix(
     isolated_native_state, monkeypatch, tmp_path, caplog
 ):
@@ -248,9 +235,9 @@ def test_no_compiler_fallback_matrix(
     info = native_kernel_mod.build_info()
     assert info["status"] == "failed"
     assert "no C compiler" in info["detail"]
-    # auto dispatch: never native, python crossovers intact
+    # auto dispatch: never native, the csr fallback at every shape
     assert dispatch.select_kernel(n_nodes=10**6, d=4) == "csr"
-    assert dispatch.select_kernel(n_nodes=1000, d=2) == "reference"
+    assert dispatch.select_kernel(n_nodes=1000, d=2) == "csr"
     # explicit native: actionable error
     with pytest.raises(KernelUnavailableError, match="no compiled walk kernel"):
         dispatch.get_jit_kernel()
@@ -337,21 +324,19 @@ def test_engine_native_end_to_end_and_kernel_counters():
     assert stats["native_workspace_checkouts"] == 3.0
     assert ref_engine.stats()["kernel_reference"] == 3.0
     assert csr_engine.stats()["kernel_csr"] == 3.0
-    # the auto batch path counts all lanes of a fused group in one record
+    # batch rows are attributed one per row to the kernel that ran them
     auto_engine = QueryEngine(index, cache_size=0)
     ws = np.stack([np.asarray(_weights(3, 400 + i)) for i in range(8)])
     auto_engine.query_batch(ws, 5)
-    assert auto_engine.stats()["kernel_batch"] == 8.0
-    # a pinned-csr engine attributes batch rows to csr, one per row
+    assert auto_engine.stats()["kernel_native"] == 8.0
     csr_engine.query_batch(ws, 5)
     assert csr_engine.stats()["kernel_csr"] == 3.0 + 8.0
     # aggregate rolls the per-kernel counters up across registries
     merged = type(native_engine.metrics).aggregate(
         [native_engine.metrics, csr_engine.metrics, auto_engine.metrics]
     )
-    assert merged["kernel_native"] == 3.0
+    assert merged["kernel_native"] == 3.0 + 8.0
     assert merged["kernel_csr"] == 11.0
-    assert merged["kernel_batch"] == 8.0
 
 
 @requires_native

@@ -1,8 +1,8 @@
 """Bitwise equivalence of layer-bound pruning (``prune=True``).
 
 Pruning may only change *which nodes get scored*, never the answer: a
-pruned :func:`~repro.core.query.process_top_k` run and a pruned batch lane
-must return the same ids and byte-identical scores as the per-node
+pruned :func:`~repro.core.query.process_top_k` run and a pruned
+``query_batch`` row must return the same ids and byte-identical scores as the per-node
 reference traversal, while their Definition 9 access counts never exceed
 the unpruned run's — across the same distribution/dimension grid the
 unpruned kernel-equivalence suite sweeps.  The bound table must also
@@ -14,12 +14,10 @@ import numpy as np
 import pytest
 
 from repro.core import DLIndex, DLPlusIndex
-from repro.core.query import (
-    process_top_k,
-    process_top_k_batch,
-    process_top_k_reference,
-)
+from repro.core.query import process_top_k, process_top_k_reference
 from repro.data import generate
+from repro.relation import normalize_weights
+from repro.serving import QueryEngine
 from repro.stats import AccessCounter
 
 
@@ -60,26 +58,29 @@ def test_pruned_kernel_agrees_bitwise(distribution, d, index_class):
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("distribution", ["IND", "ANT", "COR"])
 def test_pruned_batch_matches_pruned_solo(distribution, d, index_class):
-    """Each pruned batch lane is bitwise the solo pruned run — including
-    the access counts, so lanes skip exactly the same nodes."""
+    """Each row of a pruned engine's ``query_batch`` is bitwise the solo
+    pruned run — including the access counts, so every row skips exactly
+    the same nodes whichever kernel the engine dispatched."""
     seed = _seed_for(distribution, d)
     relation = generate(distribution, 400, d, seed=seed)
-    structure = index_class(relation).build().structure
+    index = index_class(relation).build()
+    engine = QueryEngine(index, cache_size=0, prune=True)
     rng = np.random.default_rng(seed + 2)
     weights_matrix = rng.dirichlet(np.ones(d), size=6)
     ks = rng.integers(1, 41, size=6)
-    counters = [AccessCounter() for _ in range(6)]
-    outputs = process_top_k_batch(
-        structure, weights_matrix, ks, counters, prune=True
-    )
-    for lane, (ids_b, scores_b) in enumerate(outputs):
+    results = engine.query_batch(weights_matrix, ks)
+    for row, result in enumerate(results):
         c_solo = AccessCounter()
         ids_s, scores_s = process_top_k(
-            structure, weights_matrix[lane], int(ks[lane]), c_solo, prune=True
+            index.structure,
+            normalize_weights(weights_matrix[row], d),
+            int(ks[row]),
+            c_solo,
+            prune=True,
         )
-        assert np.array_equal(ids_b, ids_s)
-        assert scores_b.tobytes() == scores_s.tobytes()
-        assert (counters[lane].real, counters[lane].pseudo) == (
+        assert np.array_equal(result.ids, ids_s)
+        assert result.scores.tobytes() == scores_s.tobytes()
+        assert (result.counter.real, result.counter.pseudo) == (
             c_solo.real,
             c_solo.pseudo,
         )

@@ -206,10 +206,10 @@ def test_query_batch_per_row_k():
         engine.query_batch(weights, [5] * 11 + [0])  # invalid row k
 
 
-@pytest.mark.parametrize("kernel", ["auto", "batch", "reference"])
+@pytest.mark.parametrize("kernel", ["auto", "reference"])
 def test_query_batch_kernels_byte_identical(kernel):
-    """Every kernel choice (incl. the fused batch kernel and auto
-    dispatch) serves byte-identical batches to the default engine."""
+    """Every kernel choice (incl. auto dispatch) serves byte-identical
+    batches to a csr engine."""
     rng = np.random.default_rng(37)
     relation = generate("IND", 350, 4, seed=37)
     index = DLPlusIndex(relation).build()
@@ -222,7 +222,7 @@ def test_query_batch_kernels_byte_identical(kernel):
         assert a.ids.tobytes() == b.ids.tobytes()
         assert a.scores.tobytes() == b.scores.tobytes()
         assert a.cost == b.cost
-    # Single queries agree too (auto dispatches per-query kernels there).
+    # Single queries agree too.
     w = rng.dirichlet(np.ones(4))
     a = engine.query(w, 6)
     b = baseline.query(w, 6)
@@ -240,6 +240,23 @@ def test_query_batch_records_batch_metrics():
     assert engine.metrics.batch_rows == 16
     assert stats["batched_queries"] == 16.0
     assert stats["batch_amortized_ms_p50"] > 0.0
+
+
+def test_query_batch_misses_run_on_the_dispatched_solo_kernel():
+    """32 distinct cache misses in one query_batch call are 32 walks of
+    the kernel auto dispatches (native where it loads, else csr); no
+    group is handed to a separate batch kernel."""
+    from repro.core.native import native_ready
+
+    relation = generate("IND", 400, 4, seed=43)
+    engine = QueryEngine(DLPlusIndex(relation).build(), cache_size=64)
+    rng = np.random.default_rng(43)
+    engine.query_batch(random_weights(rng, 4, 32), 10)
+    stats = engine.stats()
+    kernel = "native" if native_ready() else "csr"
+    assert stats[f"kernel_{kernel}"] == 32.0
+    assert "kernel_batch" not in stats
+    assert stats["cache_misses"] == 32.0
 
 
 def test_query_many_validates_before_spawning():
@@ -438,17 +455,20 @@ def test_workspace_contention_fallback_counted_in_stats():
 
 
 def test_native_kernel_guarded_in_engine(monkeypatch):
-    """kernel="jit" (alias of "native") is accepted at construction but
-    raises KernelUnavailableError at query time when the compiled walker
-    cannot load and nothing is registered; the message names the actual
-    remedy (C toolchain / native build), and a registered walker is
-    dispatched to with the full kernel kwargs."""
+    """kernel="native" is accepted at construction but raises
+    KernelUnavailableError at query time when the compiled walker cannot
+    load and nothing is registered; the message names the actual remedy
+    (C toolchain / native build), and a registered walker is dispatched
+    to with the full kernel kwargs.  The retired "jit" alias is rejected
+    like any unknown kernel name."""
     from repro.core import dispatch
     from repro.exceptions import KernelUnavailableError
 
     relation = generate("IND", 300, 3, seed=33)
     index = DLPlusIndex(relation).build()
-    engine = QueryEngine(index, cache_size=0, kernel="jit")
+    with pytest.raises(InvalidQueryError):
+        QueryEngine(index, cache_size=0, kernel="jit")
+    engine = QueryEngine(index, cache_size=0, kernel="native")
     w = np.array([0.2, 0.5, 0.3])
     # Simulate an environment where the native build already failed: the
     # slot is empty and the one-shot autoload has been spent.
